@@ -28,6 +28,7 @@ from .game_model import (
     validate_hb,
     validate_hb_prime,
 )
+from .lp import LPError
 from .simulator import PlayoutConfig, simulate
 from .strategies import (
     build_p2_cyclic,
@@ -111,12 +112,6 @@ def _parse_theta(text: str) -> ThetaWeights:
     return ThetaWeights.from_map(mapping)
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    return int(os.environ.get("RGS_JOBS", "1"))
-
-
 def _report_payload(report) -> dict:
     witness = {}
     for key, val in report.witness.items():
@@ -170,7 +165,7 @@ def cmd_value(args) -> int:
             raise CliError("provide --n or --theta")
         theta = theta_shift(ThetaWeights.uniform(args.n), args.m)
         label = {"m": args.m, "n": args.n}
-    vg = value_theta_grid(aux, theta, args.grid, jobs=_jobs(args))
+    vg = value_theta_grid(aux, theta, args.grid)
     lo, hi = evaluate_measure(vg, aux.pihat)
     config = {**label, "grid": vg.meta["resolution"]}
     manifest = _manifest("value", args.spec, config, started)
@@ -209,7 +204,6 @@ def cmd_wvalue(args) -> int:
         resolution=args.grid,
         theta_resolution=args.theta_grid,
         guard=max(args.n, 4),
-        jobs=_jobs(args),
     )
     config = {"m": args.m, "n": args.n, "theta_grid": args.theta_grid, "grid": args.grid}
     doc = {
@@ -235,7 +229,6 @@ def cmd_uniform(args) -> int:
         max_n=args.max_n,
         resolution=args.grid,
         w_guard=args.w_guard,
-        jobs=_jobs(args),
     )
     config = {
         "max_m": args.max_m,
@@ -364,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, grid=True):
         p.add_argument("spec", help="game spec JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="worker cap (env RGS_JOBS)")
+        p.add_argument(
+            "--jobs", type=int, default=None,
+            help="ignored, kept for compatibility (so is env RGS_JOBS): sweeps run in one thread",
+        )
         if grid:
             p.add_argument("--grid", type=int, default=None, help="lattice resolution")
 
@@ -428,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, LPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from .game_model import AuxGame, RepeatedGameSpec, auxiliary_game
 from .lp import matrix_game_value
 from .values.engine import ValueGrid, value_theta_grid
-from .values.grid import eval_pieces
+from .values.grid import eval_pieces, hull_pieces_1d
 from .values.thetas import ThetaWeights, theta_shift
 
 try:
@@ -370,7 +370,7 @@ def cavu_oracle(matrices: list[np.ndarray], resolution: int = 64) -> CavUOracle:
     lip = float(np.abs(mats).max())
     rho = grid.covering_radius
     if K <= 2:
-        pieces = _hull_pieces_1d(grid.points[:, 0], u_vals)
+        pieces = hull_pieces_1d(grid.points[:, 0], u_vals)
     else:
         pieces = _hull_pieces_2d(grid.points, u_vals)
     return CavUOracle(
@@ -379,29 +379,6 @@ def cavu_oracle(matrices: list[np.ndarray], resolution: int = 64) -> CavUOracle:
         pieces=pieces,
         error_bound=lip * rho,
     )
-
-
-def _hull_pieces_1d(xs: np.ndarray, ys: np.ndarray):
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-    hull: list[int] = []
-    for idx in range(len(xs)):
-        while len(hull) >= 2:
-            x1, y1 = xs[hull[-2]], ys[hull[-2]]
-            x2, y2 = xs[hull[-1]], ys[hull[-1]]
-            x3, y3 = xs[idx], ys[idx]
-            if (y2 - y1) * (x3 - x1) <= (y3 - y1) * (x2 - x1) + 1e-15:
-                hull.pop()
-            else:
-                break
-        hull.append(idx)
-    pieces = []
-    for a, b in zip(hull[:-1], hull[1:]):
-        slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
-        pieces.append((float(ys[a] - slope * xs[a]), np.array([slope, 0.0])))
-    if not pieces:
-        pieces.append((float(ys[0]), np.zeros(2)))
-    return pieces
 
 
 def _hull_pieces_2d(points: np.ndarray, vals: np.ndarray):

@@ -4,13 +4,14 @@ Each computed object carries lower and upper arrays over the lattice; the
 true value function is pinned between them. One backward sweep applies the
 one-stage operator to both envelopes (lower via barycentric interpolation,
 upper via a concave majorant), so the gap grows by at most the per-stage
-interpolation error, which is reported.
+interpolation error, which is reported. A sweep hands all grid points to
+each stage operator at once. The ``jobs`` keyword of the public functions
+is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +71,9 @@ def _sweep(
     alpha: float,
     vlow: np.ndarray,
     vup: np.ndarray,
-    jobs: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One application of the stage operator to the bound pair."""
-    G = grid.size
-    K, I, J = aux.nK, aux.nI, aux.nJ
-    if G == 1:
+    if grid.size == 1:
         # single belief point: the stage decomposes exactly
         v1, a, b = one_shot_lp(aux, grid.points[0])
         lo = alpha * v1 + (1 - alpha) * float(vlow[0])
@@ -87,32 +85,16 @@ def _sweep(
             b[None, :],
         )
     pieces = concave_majorant(grid, vup)
-    new_low = np.empty(G)
-    new_up = np.empty(G)
-    argmax = np.empty((G, K, I))
-    opponent = np.empty((G, J))
-
-    def work(g: int):
-        p = grid.points[g]
-        lo, a_lo = stage_lower_lp(aux, p, alpha, grid, vlow)
-        up, _, b = stage_upper_lp(aux, p, alpha, pieces)
-        return g, lo, up, a_lo, b
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, range(G)))
-    else:
-        results = [work(g) for g in range(G)]
-    for g, lo, up, a_lo, b in results:
-        if up < lo - 1e-6:
-            raise RuntimeError(
-                f"bound inversion at grid point {g}: lower {lo} > upper {up}"
-            )
-        new_low[g] = min(lo, up)  # guard LP noise at the 1e-9 scale
-        new_up[g] = max(lo, up)
-        argmax[g] = a_lo
-        opponent[g] = b
-    return new_low, new_up, argmax, opponent
+    lo, argmax = stage_lower_lp(aux, grid.points, alpha, grid, vlow)
+    up, _, opponent = stage_upper_lp(aux, grid.points, alpha, pieces)
+    inverted = np.flatnonzero(up < lo - 1e-6)
+    if inverted.size:
+        g = int(inverted[0])
+        raise RuntimeError(
+            f"bound inversion at grid point {g}: lower {lo[g]} > upper {up[g]}"
+        )
+    # guard LP noise at the 1e-9 scale
+    return np.minimum(lo, up), np.maximum(lo, up), argmax, opponent
 
 
 def value_theta_grid(
@@ -121,7 +103,11 @@ def value_theta_grid(
     resolution: int | None = None,
     jobs: int = 1,
 ) -> ValueGrid:
-    """Certified bounds for the theta-weighted game on the belief lattice."""
+    """Certified bounds for the theta-weighted game on the belief lattice.
+
+    ``jobs`` is accepted for compatibility and ignored: each sweep solves
+    its whole grid as a few block LPs in one thread.
+    """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     res = resolution or default_resolution(aux.nK)
     grid = SimplexGrid.create(aux.nK, res)
@@ -133,18 +119,11 @@ def value_theta_grid(
         alpha = chain[idx].first_weight
         if idx == len(chain) - 1:
             # innermost suffix is the one-stage game: exact at lattice points
-            G = grid.size
-            vlow = np.empty(G)
-            vup = np.empty(G)
-            argmax = np.empty((G, aux.nK, aux.nI))
-            opponent = np.empty((G, aux.nJ))
-            for g in range(G):
-                v, a, b = one_shot_lp(aux, grid.points[g])
-                vlow[g] = vup[g] = v
-                argmax[g] = a
-                opponent[g] = b
+            # the memo's read-only arrays, shared rather than copied
+            vlow, argmax, opponent = one_shot_lp(aux, grid.points)
+            vup = vlow
         else:
-            vlow, vup, argmax, opponent = _sweep(aux, grid, alpha, vlow, vup, jobs)
+            vlow, vup, argmax, opponent = _sweep(aux, grid, alpha, vlow, vup)
         rules.append(StageRule(alpha=alpha, argmax=argmax, opponent=opponent))
     rules.reverse()  # rules[0] now belongs to stage 1
     gap = float(np.max(vup - vlow))
@@ -177,9 +156,7 @@ def value_mn(
     """Bounds for the game averaging stages m+1 .. m+n."""
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
-    vg = value_theta_grid(
-        spec, theta_shift(ThetaWeights.uniform(n), m), resolution, jobs
-    )
+    vg = value_theta_grid(spec, theta_shift(ThetaWeights.uniform(n), m), resolution)
     vg.meta["mn"] = (m, n)
     return vg
 
@@ -250,7 +227,7 @@ def w_mn(
     thetas = _theta_lattice(n, theta_resolution) if n > 1 else [ThetaWeights.dirac(1)]
 
     def bounds_for(th: ThetaWeights):
-        vg = value_theta_grid(aux, theta_lift(th, m), resolution, jobs)
+        vg = value_theta_grid(aux, theta_lift(th, m), resolution)
         return evaluate_measure(vg, u)
 
     evals = [(th, *bounds_for(th)) for th in thetas]
@@ -362,12 +339,12 @@ def uniform_value_estimate(
     v_upper = np.empty((M + 1, N))
     max_gap = 0.0
     for n in range(1, N + 1):
-        vg = value_theta_grid(aux, ThetaWeights.uniform(n), res, jobs)
+        vg = value_theta_grid(aux, ThetaWeights.uniform(n), res)
         vlow, vup = vg.lower.copy(), vg.upper.copy()
         lo, hi = _measure_bounds(grid, vlow, vup, u)
         v_lower[0, n - 1], v_upper[0, n - 1] = lo, hi
         for m in range(1, M + 1):
-            vlow, vup, _, _ = _sweep(aux, grid, 0.0, vlow, vup, jobs)
+            vlow, vup, _, _ = _sweep(aux, grid, 0.0, vlow, vup)
             lo, hi = _measure_bounds(grid, vlow, vup, u)
             v_lower[m, n - 1], v_upper[m, n - 1] = lo, hi
         max_gap = max(max_gap, float(np.max(vup - vlow)))
@@ -382,7 +359,7 @@ def uniform_value_estimate(
         for m in range(0, min(M, w_guard) + 1):
             w_cells[(m, n)] = w_mn(
                 aux, m, n, u=u, resolution=res,
-                theta_resolution=theta_resolution, guard=w_guard, jobs=jobs,
+                theta_resolution=theta_resolution, guard=w_guard,
             )
 
     # window-truncation flags: the estimate is trustworthy only when the

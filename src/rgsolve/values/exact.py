@@ -152,9 +152,9 @@ class _TreeSolver:
                     [self.upper(level + 1, q) for q in anchor_pts]
                 )
                 pieces = cav_pieces_from_points(anchor_pts, vals)
-                bound, a_up, _ = stage_upper_lp(self.aux, p, alpha, pieces)
-                out = min(out, bound)
-                new_atoms = self.aux.belief_step(p, a_up).atoms
+                bound, a_up, _ = stage_upper_lp(self.aux, p[None, :], alpha, pieces)
+                out = min(out, float(bound[0]))
+                new_atoms = self.aux.belief_step(p, a_up[0]).atoms
                 merged = np.unique(
                     np.round(np.vstack([anchor_pts, new_atoms]), 12), axis=0
                 )

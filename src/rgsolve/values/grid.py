@@ -15,6 +15,7 @@ envelopes:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,7 +38,10 @@ class SimplexGrid:
     points: np.ndarray  # (G, K), lexicographically ordered
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def create(dim: int, resolution: int) -> "SimplexGrid":
+        """The lattice of this dimension and resolution; built once and
+        shared, so its points are read-only."""
         if dim < 1 or resolution < 1:
             raise ValueError("dimension and resolution must be positive")
         if dim == 1:
@@ -58,6 +62,7 @@ class SimplexGrid:
             pts = np.array(rows, dtype=float) / resolution
             order = np.lexsort(pts.T[::-1])
             pts = pts[order]
+        pts.flags.writeable = False
         return SimplexGrid(dim=dim, resolution=resolution, points=pts)
 
     @property
@@ -163,32 +168,35 @@ def _cav_env_dim2(points: np.ndarray, vals: np.ndarray) -> Pieces:
     # The envelope N(x) = min_g vals[g] + 2|x0 - g0| is piecewise linear in
     # x0; kinks sit at grid abscissae and at crossings of a rising branch
     # of one cone with a falling branch of another.
-    cand = set(float(x) for x in xs)
-    for a in range(len(xs)):
-        for b in range(len(xs)):
-            x = (vals[b] - vals[a] + 2.0 * (xs[a] + xs[b])) / 4.0
-            if 0.0 <= x <= 1.0:
-                cand.add(float(x))
-    cx = np.array(sorted(cand))
-    cy = np.array([np.min(vals + 2.0 * np.abs(x - xs)) for x in cx])
-    hull: list[int] = []
-    for idx in range(len(cx)):
-        while len(hull) >= 2:
-            x1, y1 = cx[hull[-2]], cy[hull[-2]]
-            x2, y2 = cx[hull[-1]], cy[hull[-1]]
-            x3, y3 = cx[idx], cy[idx]
-            if (y2 - y1) * (x3 - x1) <= (y3 - y1) * (x2 - x1) + 1e-15:
-                hull.pop()
-            else:
-                break
-        hull.append(idx)
+    cross = (vals[None, :] - vals[:, None] + 2.0 * (xs[:, None] + xs[None, :])) / 4.0
+    cx = np.unique(np.concatenate([xs, cross[(cross >= 0.0) & (cross <= 1.0)]]))
+    cy = np.full(cx.shape, np.inf)
+    for x, v in zip(xs, vals):
+        np.minimum(cy, v + 2.0 * np.abs(cx - x), out=cy)
+    return hull_pieces_1d(cx, cy)
+
+
+def hull_pieces_1d(xs: np.ndarray, ys: np.ndarray) -> Pieces:
+    """Upper concave hull of the points (xs, ys) over first coordinates of a
+    two-state simplex, as pieces c + s . x with s = (slope, 0)."""
+    order = np.argsort(xs)
+    hx: list[float] = []
+    hy: list[float] = []
+    # Python floats: the same double arithmetic as numpy scalars, faster
+    for x3, y3 in zip(xs[order].tolist(), ys[order].tolist()):
+        while len(hx) >= 2 and (
+            (hy[-1] - hy[-2]) * (x3 - hx[-2]) <= (y3 - hy[-2]) * (hx[-1] - hx[-2]) + 1e-15
+        ):
+            hx.pop()
+            hy.pop()
+        hx.append(x3)
+        hy.append(y3)
     pieces: Pieces = []
-    for a, b in zip(hull[:-1], hull[1:]):
-        x1, y1, x2, y2 = cx[a], cy[a], cx[b], cy[b]
+    for x1, y1, x2, y2 in zip(hx[:-1], hy[:-1], hx[1:], hy[1:]):
         slope = (y2 - y1) / (x2 - x1)
         pieces.append((float(y1 - slope * x1), np.array([slope, 0.0])))
     if not pieces:
-        pieces.append((float(cy[0]), np.zeros(2)))
+        pieces.append((float(hy[0]), np.zeros(2)))
     return pieces
 
 

@@ -2,17 +2,23 @@
 
 The stage problem at belief p blends the guaranteed stage payoff (weight
 alpha) with a continuation functional of the belief transition. Against a
-continuation represented by certified piecewise-linear data both bounds
-are exact linear programs:
+continuation represented by a concave piecewise-linear function
+min_m c_m + s_m . q, positive homogeneity makes its contribution through
+each signal column linear, so the step is one "upper-form" LP: maximize
+alpha * z + (1 - alpha) * sum_d t_d over stacked actions, with z below the
+expected payoff against every opposing action and t_d below every piece
+applied to column d. The duals of the payoff rows are a minimizing opponent
+mixture, and the optimizer is a playable stacked action.
 
-* lower: the continuation of each posterior atom is replaced by its best
-  barycentric combination of grid lower values; jointly maximizing over
-  the stacked action and the combinations is one LP whose optimizer is a
-  playable action (so the optimum is a true guarantee);
-* upper: the continuation is replaced by a concave piecewise-linear
-  majorant; by positive homogeneity its contribution through each signal
-  column is again linear, and the resulting minimax is one LP whose duals
-  on the payoff rows yield the minimizing opponent mixture.
+* upper: the continuation is a concave majorant of the upper values;
+* lower: the continuation of each posterior atom is its best barycentric
+  combination of grid lower values. For K <= 2 that is exactly the upper
+  hull of the lower values, so the lower step is the same upper-form LP
+  against the hull's pieces, and its optimum is a true guarantee. For
+  K >= 3 the barycentric LP itself is solved, one belief per model.
+
+Upper-form LPs are assembled for many beliefs at once and solved as
+block-diagonal models of at most ``BLOCK`` beliefs each.
 
 For black-box continuations, ``stage_solve`` falls back to a coarse
 search over the product of action simplices with local refinement; its
@@ -21,141 +27,196 @@ result is a guaranteed lower bound with a heuristic gap hint.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from ..game_model import AuxGame, auxiliary_game, RepeatedGameSpec
 from ..lp import LPError, matrix_game_value, solve_lp
-from .grid import Pieces, SimplexGrid
+from .grid import Pieces, SimplexGrid, hull_pieces_1d
 
-
-def _payoff_rows(aux: AuxGame, p: np.ndarray, n_vars: int, z_col: int):
-    """Rows encoding z <= expected payoff against each pure opposing action."""
-    K, I, J = aux.nK, aux.nI, aux.nJ
-    coeff = np.einsum("k,kij->jki", p, aux.payoff).reshape(J, K * I)
-    rows = np.zeros((J, n_vars))
-    rows[:, : K * I] = -coeff
-    rows[:, z_col] = 1.0
-    return rows
-
-
-def _simplex_rows(K: int, I: int, n_vars: int):
-    A = np.zeros((K, n_vars))
-    for k in range(K):
-        A[k, k * I : (k + 1) * I] = 1.0
-    return A
-
-
-def stage_lower_lp(
-    aux: AuxGame,
-    p: np.ndarray,
-    alpha: float,
-    grid: SimplexGrid,
-    vlow: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Certified lower Shapley step; returns (value, maximizing stacked action)."""
-    K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
-    G = grid.size
-    n = K * I + 1 + D * G
-    z_col = K * I
-    c = np.zeros(n)
-    c[z_col] = alpha
-    for d in range(D):
-        c[z_col + 1 + d * G : z_col + 1 + (d + 1) * G] = (1.0 - alpha) * vlow
-    A_ub = _payoff_rows(aux, p, n, z_col)
-    # mass-transport rows: sum_g mu[d,g] * g[kap] = column(d)[kap], linear in a
-    col_coeff = np.einsum("k,kind->ndki", p, aux.qbar).reshape(K * D, K * I)
-    A_eq = np.zeros((K + D * K, n))
-    b_eq = np.zeros(K + D * K)
-    A_eq[:K] = _simplex_rows(K, I, n)
-    b_eq[:K] = 1.0
-    for d in range(D):
-        for kap in range(K):
-            row = K + d * K + kap
-            A_eq[row, z_col + 1 + d * G : z_col + 1 + (d + 1) * G] = grid.points[:, kap]
-            A_eq[row, : K * I] = -col_coeff[kap * D + d]
-    bounds = [(0, None)] * (K * I) + [(0, 1)] + [(0, None)] * (D * G)
-    sol = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(J), A_eq=A_eq, b_eq=b_eq, bounds=bounds, maximize=True)
-    if sol.status != "optimal":
-        raise LPError(f"lower stage LP ended with status {sol.status}")
-    a = _clean_stacked(sol.primal[: K * I].reshape(K, I))
-    return float(sol.objective), a
+# most beliefs per HiGHS model: a resolution-64 grid is five models. HiGHS
+# memory grows with the model, by about 0.45 MB per belief on a six-signal
+# game with 64 continuation pieces, while larger models save little time
+BLOCK = 13
 
 
 def stage_upper_lp(
     aux: AuxGame,
-    p: np.ndarray,
+    points: np.ndarray,
     alpha: float,
     pieces: Pieces,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified upper Shapley step against a concave PWL continuation majorant.
 
-    Returns (value, maximizing stacked action of the relaxed game, opponent
-    mixture read from the payoff-row duals).
+    ``points`` is a (P, K) array of beliefs. Returns per belief the value
+    (P,), the maximizing stacked action of the relaxed game (P, K, I) and
+    the opponent mixture read from the payoff-row duals (P, J).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    # piece weights of each next state: piece m applied to a column
+    # x is sum_n (c_m + s_m[n]) x[n]
+    weights = np.array([cm + np.asarray(sm, dtype=float) for cm, sm in pieces])
+    q_weights = np.einsum("kind,mn->kidm", aux.qbar, weights)  # (K, I, D, M)
+    blocks = np.array_split(points, -(-len(points) // BLOCK))
+    parts = [_solve_upper_form(aux, block, alpha, q_weights) for block in blocks]
+    values, actions, opponents = (np.concatenate(arrs) for arrs in zip(*parts))
+    return values, actions, opponents
+
+
+def stage_lower_lp(
+    aux: AuxGame,
+    points: np.ndarray,
+    alpha: float,
+    grid: SimplexGrid,
+    vlow: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified lower Shapley step; returns per belief the value (P,) and
+    the maximizing stacked action (P, K, I), whose value it guarantees."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if aux.nK >= 3:
+        parts = [_barycentric_lower(aux, p, alpha, grid, vlow) for p in points]
+        return np.array([v for v, _ in parts]), np.array([a for _, a in parts])
+    if aux.nK == 2:
+        pieces = hull_pieces_1d(grid.points[:, 0], vlow)
+    else:
+        pieces = [(float(vlow[0]), np.zeros(1))]
+    values, actions, _ = stage_upper_lp(aux, points, alpha, pieces)
+    return values, actions
+
+
+def _solve_upper_form(aux, points, alpha, q_weights):
+    """Solve the upper-form LPs of ``points`` as one block-diagonal model;
+    if it fails, solve the beliefs one per model."""
+    try:
+        return _upper_form_model(aux, points, alpha, q_weights)
+    except LPError as exc:
+        if len(points) == 1:
+            raise _failed_at(alpha, points[0], exc) from exc
+    parts = [_solve_upper_form(aux, p[None, :], alpha, q_weights) for p in points]
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+
+
+def _upper_form_model(aux, points, alpha, q_weights):
+    """One HiGHS model holding the upper-form LP of every belief in
+    ``points`` as a diagonal block.
+
+    Per belief the variables are the stacked action a (K*I), the payoff
+    floor z in [0, 1] and the continuation terms t (D). Its <= rows are J
+    payoff rows (z <= payoff against j) and then D*M piece rows (t_d <=
+    piece m on column d); its K equality rows make each a[k] a mixture.
     """
     K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
-    n = K * I + 1 + D
-    z_col = K * I
-    c = np.zeros(n)
-    c[z_col] = alpha
-    c[z_col + 1 :] = 1.0 - alpha
-    rows = [_payoff_rows(aux, p, n, z_col)]
-    rhs = [np.zeros(J)]
-    # t_d <= sum_kap (c_m + s_m[kap]) * column(d)[kap] for every piece m
-    col_coeff = np.einsum("k,kind->dnki", p, aux.qbar)  # (D, K, K, I)
-    for d in range(D):
-        for (cm, sm) in pieces:
-            row = np.zeros(n)
-            row[z_col + 1 + d] = 1.0
-            row[: K * I] = -np.einsum("n,nki->ki", cm + sm, col_coeff[d]).reshape(-1)
-            rows.append(row[None, :])
-            rhs.append(np.zeros(1))
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    A_eq = _simplex_rows(K, I, n)
-    bounds = [(0, None)] * (K * I) + [(0, 1)] + [(None, None)] * D
+    M = q_weights.shape[-1]
+    B, KI = len(points), K * I
+    nv, nr = KI + 1 + D, J + D * M
+    # column by column: every a column meets all nr rows; z meets the
+    # payoff rows and t_d its piece rows with coefficient 1, which
+    # together are the nr rows once more
+    pay = np.einsum("gk,kij->gkij", points, aux.payoff)
+    piece = np.einsum("gk,kidm->gkidm", points, q_weights).reshape(B, K, I, D * M)
+    values = np.concatenate(
+        [-np.concatenate([pay, piece], axis=3).reshape(B, KI * nr), np.ones((B, nr))],
+        axis=1,
+    )
+    rows = np.tile(np.arange(nr), KI + 1) + nr * np.arange(B)[:, None]
+    start = np.concatenate([[0], np.cumsum(np.tile([nr] * KI + [J] + [M] * D, B))])
+    A_ub = sp.csc_array((values.ravel(), rows.ravel(), start), shape=(B * nr, B * nv))
+    # equality rows: belief g's row k sums the block a[k]
+    A_eq = np.zeros((B * K, B * nv))
+    A_eq[np.arange(B * KI) // I, (np.arange(KI) + nv * np.arange(B)[:, None]).ravel()] = 1.0
+    c = np.concatenate([np.zeros(KI), [alpha], np.full(D, 1.0 - alpha)])
+    bounds = np.array([(0.0, np.inf)] * KI + [(0.0, 1.0)] + [(-np.inf, np.inf)] * D)
     sol = solve_lp(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(K), bounds=bounds, maximize=True
+        np.tile(c, B), A_ub=A_ub, b_ub=np.zeros(B * nr), A_eq=A_eq, b_eq=np.ones(B * K),
+        bounds=np.tile(bounds, (B, 1)), maximize=True,
     )
     if sol.status != "optimal":
-        raise LPError(f"upper stage LP ended with status {sol.status}")
-    a = _clean_stacked(sol.primal[: K * I].reshape(K, I))
-    b = _dual_mixture(sol.dual_ub[: aux.nJ], aux.nJ, alpha)
-    return float(sol.objective), a, b
+        raise LPError(f"upper-form stage LP ended with status {sol.status}")
+    x = sol.primal.reshape(B, nv)
+    duals = sol.dual_ub.reshape(B, nr)[:, :J]
+    return x @ c, _clean_stacked(x[:, :KI].reshape(B, K, I)), _dual_mixture(duals, alpha)
+
+
+def _barycentric_lower(aux, p, alpha, grid, vlow) -> tuple[float, np.ndarray]:
+    """Lower step at one belief for any K: jointly maximize over the stacked
+    action and, per signal, a nonnegative combination mu[d] of grid points
+    whose mass matches the signal column, valued at the grid lower values."""
+    K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
+    G, KI = grid.size, K * I
+    n = KI + 1 + D * G
+    c = np.concatenate([np.zeros(KI), [alpha], np.tile((1.0 - alpha) * vlow, D)])
+    A_ub = np.zeros((J, n))
+    A_ub[:, :KI] = -np.einsum("k,kij->jki", p, aux.payoff).reshape(J, KI)
+    A_ub[:, KI] = 1.0
+    # mass transport: sum_g mu[d, g] g[n] = column(d)[n], linear in a
+    A_eq = np.zeros((K + D * K, n))
+    A_eq[:K, :KI] = np.kron(np.eye(K), np.ones(I))
+    A_eq[K:, :KI] = -np.einsum("k,kind->dnki", p, aux.qbar).reshape(D * K, KI)
+    A_eq[K:, KI + 1 :] = np.kron(np.eye(D), grid.points.T)
+    b_eq = np.concatenate([np.ones(K), np.zeros(D * K)])
+    bounds = [(0, None)] * KI + [(0, 1)] + [(0, None)] * (D * G)
+    try:
+        sol = solve_lp(
+            c, A_ub=A_ub, b_ub=np.zeros(J), A_eq=A_eq, b_eq=b_eq, bounds=bounds, maximize=True
+        )
+        if sol.status != "optimal":
+            raise LPError(f"lower stage LP ended with status {sol.status}")
+    except LPError as exc:
+        raise _failed_at(alpha, p, exc) from exc
+    return float(sol.objective), _clean_stacked(sol.primal[:KI].reshape(K, I))
+
+
+def _failed_at(alpha: float, p: np.ndarray, exc: LPError) -> LPError:
+    return LPError(f"stage LP failed at alpha={alpha}, belief {p.tolist()}: {exc}")
 
 
 _one_shot_memo: "weakref.WeakKeyDictionary[AuxGame, dict]" = weakref.WeakKeyDictionary()
 
 
-def one_shot_lp(aux: AuxGame, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact value of the one-stage informed game at belief p (memoized)."""
+def one_shot_lp(aux: AuxGame, points: np.ndarray):
+    """Exact value of the one-stage informed game (memoized per game and
+    belief set).
+
+    A (P, K) array of beliefs gives read-only arrays of values (P,),
+    stacked actions (P, K, I) and opponent mixtures (P, J); a single belief
+    gives one (value, action, mixture) triple.
+    """
+    pts = np.asarray(points, dtype=float)
     store = _one_shot_memo.setdefault(aux, {})
-    key = np.asarray(p, float).tobytes()
+    # a digest keeps the key small: the memo lives as long as the game
+    key = (pts.shape, hashlib.blake2b(pts.tobytes(), digest_size=16).digest())
     if key not in store:
         zero_pieces: Pieces = [(0.0, np.zeros(aux.nK))]
-        store[key] = stage_upper_lp(aux, p, 1.0, zero_pieces)
-    return store[key]
+        store[key] = stage_upper_lp(aux, pts, 1.0, zero_pieces)
+        for arr in store[key]:
+            arr.flags.writeable = False
+    values, actions, opponents = store[key]
+    if pts.ndim == 1:
+        return float(values[0]), actions[0], opponents[0]
+    return values, actions, opponents
 
 
 def _clean_stacked(a: np.ndarray) -> np.ndarray:
+    """Clip each mixture (last axis) to be nonnegative and renormalize it;
+    an all-zero mixture becomes uniform."""
     a = np.clip(a, 0.0, None)
-    s = a.sum(axis=1, keepdims=True)
-    s[s <= 0] = 1.0
-    out = a / s
-    out[a.sum(axis=1) <= 0] = 1.0 / a.shape[1]
-    return out
+    s = a.sum(axis=-1, keepdims=True)
+    return np.where(s > 0, a / np.where(s > 0, s, 1.0), 1.0 / a.shape[-1])
 
 
-def _dual_mixture(duals: np.ndarray, nJ: int, alpha: float) -> np.ndarray:
+def _dual_mixture(duals: np.ndarray, alpha: float) -> np.ndarray:
+    """Opponent mixtures from payoff-row duals (last axis); uniform when the
+    stage payoff carries no weight or the duals vanish."""
+    nJ = duals.shape[-1]
     if alpha <= 0.0:
-        return np.full(nJ, 1.0 / nJ)
-    y = np.clip(np.asarray(duals, float), 0.0, None)
-    s = y.sum()
-    return np.full(nJ, 1.0 / nJ) if s <= 0 else y / s
+        return np.full(duals.shape, 1.0 / nJ)
+    return _clean_stacked(duals)
 
 
 # ---------------------------------------------------------------------------

@@ -180,3 +180,23 @@ def test_simulate_wrong_strategy_files(am_spec_file, tmp_path):
          "--horizon", "4", "--reps", "2"]
     )
     assert code == 2
+
+
+def test_jobs_flag_and_env_are_ignored(am_spec_file, tmp_path, monkeypatch):
+    args = ["value", am_spec_file, "--n", "2", "--grid", "8", "--out"]
+    assert main(args + [str(tmp_path / "plain.csv")]) == 0
+    monkeypatch.setenv("RGS_JOBS", "3")
+    assert main(args + [str(tmp_path / "jobs.csv"), "--jobs", "4"]) == 0
+    plain = strip_timestamp((tmp_path / "plain.csv").read_text())
+    assert strip_timestamp((tmp_path / "jobs.csv").read_text()) == plain
+
+
+def test_lp_failure_is_an_error_line(am_spec_file, capsys, monkeypatch):
+    from scipy.optimize._highspy import _core as highs_core
+
+    monkeypatch.setattr(
+        highs_core._Highs, "run", lambda self: highs_core.HighsStatus.kError
+    )
+    assert main(["value", am_spec_file, "--n", "2", "--grid", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "belief" in err and "Traceback" not in err

@@ -1,8 +1,11 @@
 """Value engine: stage-measure calculus, certified grids, both backends,
 shifted values, prefix-guarantee values, uniform-value window."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import rgsolve as rg
 from rgsolve.values import (
@@ -15,14 +18,15 @@ from rgsolve.values import (
 )
 from rgsolve.values.engine import _sweep
 from rgsolve.values.grid import (
+    _cav_env_dim2,
     concave_majorant,
     eval_pieces,
     lipschitz_upper,
     lower_value,
 )
-from rgsolve.values.stage import stage_solve
+from rgsolve.values.stage import one_shot_lp, stage_solve
 
-from conftest import make_k1_spec
+from conftest import make_k1_spec, random_informed_game
 
 
 class TestThetaCalculus:
@@ -390,3 +394,188 @@ class TestMonotonicityInvariant:
             lo_g, up_g, _, _ = _sweep(am_aux, grid, 0.5, g, g)
             assert (lo_g >= lo_f - 1e-9).all()
             assert (up_g >= up_f - 1e-9).all()
+
+
+# ---------------------------------------------------------------------------
+# Batched sweeps against per-point reference LPs
+# ---------------------------------------------------------------------------
+
+def _linprog_max(c, **lp) -> float:
+    """max c @ x by linprog; a failed presolve is retried without it."""
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(-c, method="highs", options=options, **lp)
+    if res.status == 4:
+        res = linprog(-c, method="highs", options={**options, "presolve": False}, **lp)
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _reference_upper(aux, p, alpha, pieces) -> float:
+    """Upper stage LP at one belief, assembled row by row and solved by linprog."""
+    K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
+    KI, n = K * I, K * I + 1 + D
+    c = np.zeros(n)
+    c[KI] = alpha
+    c[KI + 1 :] = 1.0 - alpha
+    rows = []
+    for j in range(J):
+        row = np.zeros(n)
+        row[:KI] = -np.einsum("k,ki->ki", p, aux.payoff[:, :, j]).ravel()
+        row[KI] = 1.0
+        rows.append(row)
+    col_coeff = np.einsum("k,kind->dnki", p, aux.qbar)
+    for d in range(D):
+        for cm, sm in pieces:
+            row = np.zeros(n)
+            row[KI + 1 + d] = 1.0
+            row[:KI] = -np.einsum("n,nki->ki", cm + sm, col_coeff[d]).ravel()
+            rows.append(row)
+    A_eq = np.zeros((K, n))
+    for k in range(K):
+        A_eq[k, k * I : (k + 1) * I] = 1.0
+    return _linprog_max(
+        c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)), A_eq=A_eq, b_eq=np.ones(K),
+        bounds=[(0, None)] * KI + [(0, 1)] + [(None, None)] * D,
+    )
+
+
+def _reference_lower(aux, p, alpha, grid, vlow) -> float:
+    """Barycentric lower stage LP at one belief: per signal, a nonnegative
+    combination of grid points matching the signal column."""
+    K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
+    G, KI = grid.size, K * I
+    n = KI + 1 + D * G
+    c = np.zeros(n)
+    c[KI] = alpha
+    for d in range(D):
+        c[KI + 1 + d * G : KI + 1 + (d + 1) * G] = (1.0 - alpha) * vlow
+    A_ub = np.zeros((J, n))
+    A_ub[:, :KI] = -np.einsum("k,kij->jki", p, aux.payoff).reshape(J, KI)
+    A_ub[:, KI] = 1.0
+    col_coeff = np.einsum("k,kind->ndki", p, aux.qbar).reshape(K * D, KI)
+    A_eq = np.zeros((K + D * K, n))
+    b_eq = np.zeros(K + D * K)
+    for k in range(K):
+        A_eq[k, k * I : (k + 1) * I] = 1.0
+        b_eq[k] = 1.0
+    for d in range(D):
+        for kap in range(K):
+            row = K + d * K + kap
+            A_eq[row, KI + 1 + d * G : KI + 1 + (d + 1) * G] = grid.points[:, kap]
+            A_eq[row, :KI] = -col_coeff[kap * D + d]
+    return _linprog_max(
+        c, A_ub=A_ub, b_ub=np.zeros(J), A_eq=A_eq, b_eq=b_eq,
+        bounds=[(0, None)] * KI + [(0, 1)] + [(0, None)] * (D * G),
+    )
+
+
+def _guarantee(aux, p, a, alpha, grid, vlow) -> float:
+    """What the stacked action a secures at belief p: the stage payoff floor
+    plus, per signal, the best barycentric combination of grid lower values.
+    An optimal combination uses at most K grid points, so every K-subset
+    of the grid is tried."""
+    K = aux.nK
+    subsets = np.array(list(itertools.combinations(range(grid.size), K)))
+    mats = grid.points[subsets].transpose(0, 2, 1)  # (S, K, K): columns are points
+    ok = np.abs(np.linalg.det(mats)) > 1e-12
+    mats, vals = mats[ok], vlow[subsets[ok]]
+    cont = 0.0
+    for col in aux.state_signal_columns(p, a).T:  # (D, K) signal columns
+        lam = np.linalg.solve(mats, np.broadcast_to(col, (len(mats), K))[..., None])[..., 0]
+        feasible = (lam >= -1e-12).all(axis=1)
+        cont += float(np.max(np.einsum("sk,sk->s", lam[feasible], vals[feasible])))
+    return alpha * float(np.min(aux.gbar(p, a))) + (1.0 - alpha) * cont
+
+
+def _revealed_chain():
+    rng = np.random.default_rng(77)
+    kernel = rng.random((2, 2, 2)) + 0.05
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    mats = [rng.random((2, 2)), rng.random((2, 2))]
+    spec = rg.build_markov_chain_game(mats, kernel, np.array([0.4, 0.6]), reveal_state_to_p2=True)
+    return rg.auxiliary_game(spec)
+
+
+class TestBatchedSweep:
+    @pytest.fixture(scope="class")
+    def games(self, am_aux):
+        rng = np.random.default_rng(404)
+        return {
+            "am": am_aux,
+            "informed": rg.auxiliary_game(random_informed_game(rng)),
+            "chain": _revealed_chain(),
+            "informed-k3": rg.auxiliary_game(random_informed_game(rng, nK=3)),
+        }
+
+    @pytest.mark.parametrize(
+        "kind, resolution",
+        [("am", 16), ("am", 64), ("informed", 16), ("informed", 64),
+         ("chain", 16), ("chain", 64), ("informed-k3", 4)],
+    )
+    def test_sweeps_match_per_point_reference(self, games, kind, resolution):
+        aux = games[kind]
+        grid = SimplexGrid.create(aux.nK, resolution)
+        vlow, _, _ = one_shot_lp(aux, grid.points)
+        reference = [_reference_upper(aux, p, 1.0, [(0.0, np.zeros(aux.nK))]) for p in grid.points]
+        assert np.abs(vlow - reference).max() <= 1e-9
+        vlow, vup = vlow.copy(), vlow.copy()
+        for alpha in (1 / 2, 1 / 3, 1 / 4, 0.0):
+            lo, up, argmax, _ = _sweep(aux, grid, alpha, vlow, vup)
+            pieces = concave_majorant(grid, vup)
+            ref_lo = [_reference_lower(aux, p, alpha, grid, vlow) for p in grid.points]
+            ref_up = [_reference_upper(aux, p, alpha, pieces) for p in grid.points]
+            assert np.abs(lo - np.minimum(ref_lo, ref_up)).max() <= 1e-9
+            assert np.abs(up - np.maximum(ref_lo, ref_up)).max() <= 1e-9
+            for g, p in enumerate(grid.points):
+                assert _guarantee(aux, p, argmax[g], alpha, grid, vlow) >= lo[g] - 1e-9
+            vlow, vup = lo, up
+
+
+def _cav_env_dim2_scalar(points, vals):
+    """The envelope hull as a scalar loop over every crossing."""
+    xs = points[:, 0]
+    cand = set(float(x) for x in xs)
+    for a in range(len(xs)):
+        for b in range(len(xs)):
+            x = (vals[b] - vals[a] + 2.0 * (xs[a] + xs[b])) / 4.0
+            if 0.0 <= x <= 1.0:
+                cand.add(float(x))
+    cx = np.array(sorted(cand))
+    cy = np.array([np.min(vals + 2.0 * np.abs(x - xs)) for x in cx])
+    hull = []
+    for idx in range(len(cx)):
+        while len(hull) >= 2:
+            x1, y1 = cx[hull[-2]], cy[hull[-2]]
+            x2, y2 = cx[hull[-1]], cy[hull[-1]]
+            x3, y3 = cx[idx], cy[idx]
+            if (y2 - y1) * (x3 - x1) <= (y3 - y1) * (x2 - x1) + 1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(idx)
+    pieces = []
+    for a, b in zip(hull[:-1], hull[1:]):
+        x1, y1, x2, y2 = cx[a], cy[a], cx[b], cy[b]
+        slope = (y2 - y1) / (x2 - x1)
+        pieces.append((float(y1 - slope * x1), np.array([slope, 0.0])))
+    if not pieces:
+        pieces.append((float(cy[0]), np.zeros(2)))
+    return pieces
+
+
+@pytest.mark.parametrize("resolution", [1, 4, 16, 64])
+def test_cav_envelope_matches_scalar_loop_bitwise(resolution):
+    rng = np.random.default_rng(resolution)
+    grid = SimplexGrid.create(2, resolution)
+    x = grid.points[:, 0]
+    samples = [
+        rng.random(grid.size),
+        np.minimum(0.7 - np.abs(x - 0.4), 0.55) + 0.01 * rng.random(grid.size),
+        np.full(grid.size, 0.3),
+    ]
+    for vals in samples:
+        fast = _cav_env_dim2(grid.points, vals)
+        slow = _cav_env_dim2_scalar(grid.points, vals)
+        assert len(fast) == len(slow)
+        for (c1, s1), (c2, s2) in zip(fast, slow):
+            assert c1 == c2 and np.array_equal(s1, s2)
