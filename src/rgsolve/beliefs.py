@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .lp import feasibility, solve_lp, transport_lp
+from .lp import solve_lp, transport_lp
 
 
 def check_belief(p: np.ndarray, tol: float = TOL.structural) -> np.ndarray:
@@ -210,9 +210,11 @@ def choquet_dominates(u: BeliefMeasure, v: BeliefMeasure) -> tuple[bool, Choquet
     for s in range(S):
         A_eq[R + R * K + s, s::S] = 1.0
         b_eq[R + R * K + s] = v.weights[s]
-    res = feasibility(A_eq=A_eq, b_eq=b_eq, n_vars=n, bounds=(0, None))
-    if res.feasible:
-        coupling = res.point.reshape(R, S)
+    # solved directly: a failure is certified by the separating concave
+    # function, so a Farkas vector would be wasted work
+    sol = solve_lp(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
+    if sol.status == "optimal":
+        coupling = sol.primal.reshape(R, S)
         return True, ChoquetCertificate(dominates=True, coupling=coupling)
     return False, _separating_concave_function(u, v)
 

@@ -113,16 +113,10 @@ def _parse_theta(text: str) -> ThetaWeights:
 
 
 def _report_payload(report) -> dict:
-    witness = {}
-    for key, val in report.witness.items():
-        if isinstance(val, np.ndarray):
-            witness[key] = val.tolist()
-        else:
-            witness[key] = val
     return {
         "holds": report.holds,
         "max_violation": report.max_violation,
-        "witness": _jsonable(witness),
+        "witness": _jsonable(report.witness),
     }
 
 
@@ -424,10 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, LPError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (CliError, LPError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

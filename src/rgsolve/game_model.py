@@ -599,6 +599,10 @@ class AuxGame:
         """Expected payoff against each pure opposing action: vector over j."""
         return np.einsum("k,ki,kij->j", p, a, self.payoff)
 
+    def guaranteed_payoff(self, p: np.ndarray, a: np.ndarray) -> float:
+        """Stage payoff secured at belief p by the stacked action a."""
+        return float(np.min(self.gbar(p, a)))
+
     def state_signal_columns(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Unnormalized next-(state, signal2) table, shape (K, D)."""
         return np.einsum("k,ki,kind->nd", p, a, self.qbar)

@@ -34,14 +34,6 @@ class LPSolution:
     dual_ub: np.ndarray | None = None
     dual_eq: np.ndarray | None = None
 
-    @property
-    def dual(self) -> np.ndarray | None:
-        """Concatenated dual vector (inequality rows first)."""
-        if self.dual_ub is None and self.dual_eq is None:
-            return None
-        parts = [d for d in (self.dual_ub, self.dual_eq) if d is not None]
-        return np.concatenate(parts) if parts else None
-
 
 @dataclass(frozen=True)
 class MatrixGameSolution:

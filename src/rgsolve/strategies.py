@@ -15,19 +15,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game_model import AuxGame, RepeatedGameSpec, auxiliary_game
-from .lp import matrix_game_value
-from .values.engine import ValueGrid, value_theta_grid
-from .values.grid import eval_pieces, hull_pieces_1d
+from .lp import MatrixGameSolution, matrix_game_value
+from .values.engine import ValueGrid, default_resolution, value_theta_grid
+from .values.grid import (
+    SimplexGrid,
+    eval_pieces,
+    hull_pieces_1d,
+    lipschitz_lower,
+    nearest,
+    upper_facets,
+)
+from .values.stage import stage_solve
 from .values.thetas import ThetaWeights, theta_shift
 
-try:
-    from scipy.spatial import ConvexHull, QhullError
-except Exception:  # pragma: no cover
-    ConvexHull = None
 
-
-def _nearest(atoms: np.ndarray, p: np.ndarray) -> int:
-    return int(np.argmin(np.abs(atoms - np.asarray(p, float)).sum(axis=1)))
+def _nonrevealing_game(p: np.ndarray, payoff: np.ndarray) -> MatrixGameSolution:
+    """The one-shot game at belief p when player 1 plays the same mixture in
+    every state: val(sum_k p^k G^k) is the non-revealing value u(p)."""
+    return matrix_game_value(np.einsum("k,kij->ij", p, payoff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,13 +60,12 @@ class MarkovStrategy1:
         if t > len(self.stage_atoms) and self.payoff_tensor is not None:
             return self._maintenance(p)
         idx = min(t, len(self.stage_atoms)) - 1
-        return self.stage_actions[idx][_nearest(self.stage_atoms[idx], p)]
+        return self.stage_actions[idx][nearest(self.stage_atoms[idx], p)]
 
     def _maintenance(self, p: np.ndarray) -> np.ndarray:
         key = np.round(np.asarray(p, float), 12).tobytes()
         if key not in self._tail_cache:
-            avg = np.einsum("k,kij->ij", np.asarray(p, float), self.payoff_tensor)
-            row = matrix_game_value(avg).row_strategy
+            row = _nonrevealing_game(np.asarray(p, float), self.payoff_tensor).row_strategy
             self._tail_cache[key] = np.tile(row, (self.payoff_tensor.shape[0], 1))
         return self._tail_cache[key]
 
@@ -127,7 +131,7 @@ class BlockStrategy2:
     def mixture(self, t: int, p: np.ndarray) -> np.ndarray:
         b, s = self._locate(t)
         atoms = self.block_atoms[b][s]
-        return self.block_mixtures[b][s][_nearest(atoms, p)]
+        return self.block_mixtures[b][s][nearest(atoms, p)]
 
     def to_json(self) -> dict:
         return {
@@ -232,19 +236,10 @@ def extract_p1_longrun(
     non-revealing value. For games where information only loses value the
     steps reduce to staying put.
     """
-    from .values.engine import default_resolution
-    from .values.grid import SimplexGrid, lipschitz_lower
-    from .values.stage import stage_solve
-
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     res = resolution or default_resolution(aux.nK)
     grid = SimplexGrid.create(aux.nK, res)
-    level = np.array(
-        [
-            matrix_game_value(np.einsum("k,kij->ij", p, aux.payoff)).value
-            for p in grid.points
-        ]
-    )
+    level = np.array([_nonrevealing_game(p, aux.payoff).value for p in grid.points])
     rules = []
     for _ in range(prep_stages):
         cont = lambda measure: sum(
@@ -257,7 +252,7 @@ def extract_p1_longrun(
             # small payoff weight breaks positioning ties toward earning
             sol = stage_solve(aux, p, 0.05, cont, refine_iters=50)
             actions[g] = sol.action
-            new_level[g] = (sol.value - 0.05 * float(np.min(aux.gbar(p, sol.action)))) / 0.95
+            new_level[g] = (sol.value - 0.05 * aux.guaranteed_payoff(p, sol.action)) / 0.95
         rules.append(actions)
         level = new_level
     rules.reverse()  # earliest positioning step first
@@ -347,8 +342,7 @@ class CavUOracle:
     error_bound: float
 
     def u(self, p: np.ndarray) -> float:
-        idx = _nearest(self.points, p)
-        return float(self.u_values[idx])
+        return float(self.u_values[nearest(self.points, p)])
 
     def cav(self, p: np.ndarray) -> float:
         return eval_pieces(self.pieces, np.asarray(p, float))
@@ -361,40 +355,17 @@ def cavu_oracle(matrices: list[np.ndarray], resolution: int = 64) -> CavUOracle:
     K = mats.shape[0]
     if K > 3:
         raise ValueError("concavification oracle supports at most 3 states")
-    from .values.grid import SimplexGrid
-
     grid = SimplexGrid.create(K, resolution)
-    u_vals = np.array(
-        [matrix_game_value(np.einsum("k,kij->ij", p, mats)).value for p in grid.points]
-    )
+    u_vals = np.array([_nonrevealing_game(p, mats).value for p in grid.points])
     lip = float(np.abs(mats).max())
     rho = grid.covering_radius
     if K <= 2:
         pieces = hull_pieces_1d(grid.points[:, 0], u_vals)
     else:
-        pieces = _hull_pieces_2d(grid.points, u_vals)
+        pieces = upper_facets(grid.points, u_vals) or [(float(u_vals.max()), np.zeros(3))]
     return CavUOracle(
         points=grid.points,
         u_values=u_vals,
         pieces=pieces,
         error_bound=lip * rho,
     )
-
-
-def _hull_pieces_2d(points: np.ndarray, vals: np.ndarray):
-    if ConvexHull is None:
-        raise RuntimeError("scipy.spatial required for 3-state concavification")
-    coords = np.column_stack([points[:, :2], vals])
-    try:
-        hull = ConvexHull(coords, qhull_options="QJ")
-    except QhullError:
-        return [(float(vals.max()), np.zeros(3))]
-    pieces = []
-    for eq in hull.equations:
-        normal, offset = eq[:-1], eq[-1]
-        if normal[-1] <= 1e-6 * float(np.linalg.norm(normal)):
-            continue
-        s_free = -normal[:-1] / normal[-1]
-        c0 = -offset / normal[-1]
-        pieces.append((float(c0), np.concatenate([s_free, [0.0]])))
-    return pieces or [(float(vals.max()), np.zeros(3))]

@@ -15,7 +15,7 @@ from .engine import (
 )
 from .exact import value_theta_exact
 from .grid import SimplexGrid, concave_majorant, lower_value, lipschitz_upper
-from .mdp import MarkovRule, markov_strategy_of_play, play_of_markov_strategy
+from .mdp import markov_strategy_of_play, play_of_markov_strategy
 from .stage import StageSolution, one_shot_lp, stage_solve
 from .thetas import ThetaWeights, suffix_chain, theta_lift, theta_plus, theta_shift
 
@@ -27,7 +27,6 @@ __all__ = [
     "UniformValueReport",
     "ValueGrid",
     "WValueResult",
-    "MarkovRule",
     "concave_majorant",
     "default_resolution",
     "evaluate_measure",

@@ -165,14 +165,12 @@ def evaluate_measure(vgrid: ValueGrid, u: BeliefMeasure) -> tuple[float, float]:
     """Weight-averaged certified bounds of the affine extension at u."""
     if u.dim != vgrid.grid.dim:
         raise ValueError("measure lives on a different simplex")
-    lo = sum(
-        w * lower_value(vgrid.grid, vgrid.lower, atom)
-        for atom, w in zip(u.atoms, u.weights)
-    )
-    hi = sum(
-        w * lipschitz_upper(vgrid.grid, vgrid.upper, atom)
-        for atom, w in zip(u.atoms, u.weights)
-    )
+    return _measure_bounds(vgrid.grid, vgrid.lower, vgrid.upper, u)
+
+
+def _measure_bounds(grid, vlow, vup, u: BeliefMeasure) -> tuple[float, float]:
+    lo = sum(w * lower_value(grid, vlow, a) for a, w in zip(u.atoms, u.weights))
+    hi = sum(w * lipschitz_upper(grid, vup, a) for a, w in zip(u.atoms, u.weights))
     return float(lo), float(hi)
 
 
@@ -387,9 +385,3 @@ def uniform_value_estimate(
             "window_too_small": window_small,
         },
     )
-
-
-def _measure_bounds(grid, vlow, vup, u: BeliefMeasure) -> tuple[float, float]:
-    lo = sum(w * lower_value(grid, vlow, a) for a, w in zip(u.atoms, u.weights))
-    hi = sum(w * lipschitz_upper(grid, vup, a) for a, w in zip(u.atoms, u.weights))
-    return float(lo), float(hi)

@@ -18,10 +18,12 @@ Guarded by a maximum stage: the posterior tree grows with the horizon.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
-from .grid import cav_pieces_from_points
+from .grid import SimplexGrid, cav_pieces_from_points
 from .stage import one_shot_lp, stage_upper_lp
 from .thetas import ThetaWeights, suffix_chain
 
@@ -29,9 +31,6 @@ from .thetas import ThetaWeights, suffix_chain
 def _candidate_actions(nK: int, nI: int, resolution: int) -> np.ndarray:
     """Product lattice over the per-state action simplices, plus the
     state-independent (non-revealing) rows."""
-    from .grid import SimplexGrid
-    import itertools
-
     per_state = SimplexGrid.create(nI, resolution).points
     combos = [
         per_state[list(ix)]
@@ -55,14 +54,9 @@ class _TreeSolver:
         self.chain = suffix_chain(theta)
         self.root_candidates = _candidate_actions(aux.nK, aux.nI, action_resolution)
         self.deep_candidates = _candidate_actions(aux.nK, aux.nI, min(action_resolution, 2))
-        self.anchors = self._anchor_lattice(anchor_resolution)
+        self.anchors = SimplexGrid.create(aux.nK, anchor_resolution).points
         self.lower_memo: dict[tuple[int, bytes], float] = {}
         self.upper_memo: dict[tuple[int, bytes], float] = {}
-
-    def _anchor_lattice(self, resolution: int) -> np.ndarray:
-        from .grid import SimplexGrid
-
-        return SimplexGrid.create(self.aux.nK, resolution).points
 
     @staticmethod
     def _key(level: int, p: np.ndarray) -> tuple[int, bytes]:
@@ -75,7 +69,7 @@ class _TreeSolver:
 
     def _score(self, level: int, p: np.ndarray, a: np.ndarray) -> float:
         alpha = self.chain[level].first_weight
-        val = alpha * float(np.min(self.aux.gbar(p, a)))
+        val = alpha * self.aux.guaranteed_payoff(p, a)
         if alpha < 1.0:
             step = self.aux.belief_step(p, a)
             val += (1.0 - alpha) * sum(
@@ -107,7 +101,7 @@ class _TreeSolver:
     def _plan_value(self, level: int, p: np.ndarray, a: np.ndarray) -> float:
         """Exact value of: play a now, continue with the greedy plan."""
         alpha = self.chain[level].first_weight
-        val = alpha * float(np.min(self.aux.gbar(p, a)))
+        val = alpha * self.aux.guaranteed_payoff(p, a)
         if alpha < 1.0:
             step = self.aux.belief_step(p, a)
             val += (1.0 - alpha) * sum(

@@ -20,13 +20,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from ..lp import solve_lp
-
-try:  # facet enumeration only needed for three or more states
-    from scipy.spatial import ConvexHull, QhullError
-except Exception:  # pragma: no cover
-    ConvexHull = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +80,13 @@ class SimplexGrid:
         return np.abs(self.points - np.asarray(x, float)).sum(axis=1)
 
     def nearest_index(self, x: np.ndarray) -> int:
-        return int(np.argmin(self.l1_to(x)))
+        return nearest(self.points, x)
 
-    def index_of(self, x: np.ndarray, tol: float = 1e-9) -> int | None:
-        idx = self.nearest_index(x)
-        return idx if self.l1_to(x)[idx] <= tol else None
+
+def nearest(atoms: np.ndarray, p: np.ndarray) -> int:
+    """Row of ``atoms`` closest to the belief p in l1; on a tie, the lower
+    row, so lookups (and seeded playouts) are reproducible."""
+    return int(np.argmin(np.abs(atoms - np.asarray(p, float)).sum(axis=1)))
 
 
 def lipschitz_upper(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
@@ -200,21 +198,18 @@ def hull_pieces_1d(xs: np.ndarray, ys: np.ndarray) -> Pieces:
     return pieces
 
 
-def _hull_majorant_highdim(grid: SimplexGrid, vals: np.ndarray) -> Pieces:
-    K = grid.dim
-    rho = grid.covering_radius
-    fallback: Pieces = [(float(vals.max()) + rho, np.zeros(K))]
-    if ConvexHull is None or grid.size <= K:
-        return fallback
-    # Hull of the grid graph in free coordinates (drop the last barycentric
-    # coordinate); upper facets give affine pieces c + s . x.
-    coords = np.column_stack([grid.points[:, : K - 1], vals])
+def upper_facets(points: np.ndarray, vals: np.ndarray) -> Pieces:
+    """Affine pieces c + s . x of the upper facets of the convex hull of the
+    graph of ``vals`` over simplex ``points`` (K >= 3); empty when qhull
+    fails."""
+    K = points.shape[1]
+    # hull in free coordinates: drop the last barycentric coordinate
+    coords = np.column_stack([points[:, : K - 1], vals])
     try:
         hull = ConvexHull(coords, qhull_options="QJ")
     except QhullError:
-        return fallback
+        return []
     pieces: Pieces = []
-    lip = 0.0
     for eq in hull.equations:
         normal, offset = eq[:-1], eq[-1]
         nv = normal[-1]
@@ -225,11 +220,16 @@ def _hull_majorant_highdim(grid: SimplexGrid, vals: np.ndarray) -> Pieces:
             continue
         s_free = -normal[:-1] / nv
         c0 = -offset / nv
-        s = np.concatenate([s_free, [0.0]])
-        pieces.append((float(c0), s))
-        lip = max(lip, (float(s.max()) - float(s.min())) / 2.0)
+        pieces.append((float(c0), np.concatenate([s_free, [0.0]])))
+    return pieces
+
+
+def _hull_majorant_highdim(grid: SimplexGrid, vals: np.ndarray) -> Pieces:
+    rho = grid.covering_radius
+    pieces = upper_facets(grid.points, vals) if grid.size > grid.dim else []
     if not pieces:
-        return fallback
+        return [(float(vals.max()) + rho, np.zeros(grid.dim))]
+    lip = max((float(s.max()) - float(s.min())) / 2.0 for _, s in pieces)
     # Concave data can bulge above the facet interpolation between grid
     # points by at most (1 + Lip(hull)) * covering radius.
     bump = (1.0 + lip) * rho

@@ -9,7 +9,7 @@ play, and recovering per-atom action maps that realize a given play.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,24 +17,8 @@ from ..beliefs import BeliefMeasure, mix_measures
 from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
 from ..lp import solve_lp
 
-
-@dataclass(frozen=True, eq=False)
-class MarkovRule:
-    """Stage-indexed action maps realized on explicit support points."""
-
-    stage_atoms: tuple[np.ndarray, ...]  # per stage: (R, K)
-    stage_actions: tuple[np.ndarray, ...]  # per stage: (R, K, I)
-
-    def stacked_action(self, t: int, p: np.ndarray) -> np.ndarray:
-        atoms = self.stage_atoms[min(t, len(self.stage_atoms)) - 1]
-        acts = self.stage_actions[min(t, len(self.stage_actions)) - 1]
-        idx = int(np.argmin(np.abs(atoms - np.asarray(p, float)).sum(axis=1)))
-        return acts[idx]
-
-
-def guaranteed_payoff(aux: AuxGame, p: np.ndarray, a: np.ndarray) -> float:
-    """Stage payoff secured at belief p by the stacked action a."""
-    return float(np.min(aux.gbar(p, a)))
+if TYPE_CHECKING:
+    from ..strategies import MarkovStrategy1
 
 
 def play_of_markov_strategy(
@@ -55,7 +39,7 @@ def play_of_markov_strategy(
         actions = [strategy.stacked_action(t, p) for p in current.atoms]
         payoff = float(
             sum(
-                w * guaranteed_payoff(aux, p, a)
+                w * aux.guaranteed_payoff(p, a)
                 for p, a, w in zip(current.atoms, actions, current.weights)
             )
         )
@@ -77,8 +61,9 @@ def markov_strategy_of_play(
     tol: float = 1e-7,
     max_assignments: int = 4096,
     max_column_combos: int = 729,
-) -> MarkovRule:
-    """Recover per-atom action maps that realize the given play.
+) -> MarkovStrategy1:
+    """Recover per-atom action maps that realize the given play, as an
+    informed-player strategy with no maintenance tail.
 
     Each step is a coupled linear system: every (atom, signal) posterior
     column must align with some atom of the target measure, aggregated
@@ -87,6 +72,9 @@ def markov_strategy_of_play(
     enumerated (the counts are tiny at desk scale) and each pattern is one
     LP feasibility problem. Raises identifying the first unrealizable step.
     """
+    # strategies imports the value engine, which imports this module
+    from ..strategies import MarkovStrategy1
+
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     current = u
     stage_atoms: list[np.ndarray] = []
@@ -101,7 +89,12 @@ def markov_strategy_of_play(
         stage_atoms.append(current.atoms.copy())
         stage_actions.append(actions)
         current = target
-    return MarkovRule(stage_atoms=tuple(stage_atoms), stage_actions=tuple(stage_actions))
+    return MarkovStrategy1(
+        stage_atoms=tuple(stage_atoms),
+        stage_actions=tuple(stage_actions),
+        slack=0.0,
+        meta={"kind": "realized-play"},
+    )
 
 
 class _StepInfeasible(RuntimeError):

@@ -232,10 +232,6 @@ class StageSolution:
     gap_hint: float  # heuristic optimality-gap indicator, not a certificate
 
 
-def _simplex_lattice(dim: int, resolution: int) -> np.ndarray:
-    return SimplexGrid.create(dim, resolution).points
-
-
 def stage_solve(
     game: AuxGame | RepeatedGameSpec,
     p: np.ndarray,
@@ -256,12 +252,12 @@ def stage_solve(
     K, I, J = aux.nK, aux.nI, aux.nJ
 
     def objective(a: np.ndarray) -> float:
-        val = alpha * float(np.min(aux.gbar(p, a))) if alpha > 0.0 else 0.0
+        val = alpha * aux.guaranteed_payoff(p, a) if alpha > 0.0 else 0.0
         if alpha < 1.0:
             val += (1.0 - alpha) * float(continuation(aux.belief_step(p, a)))
         return val
 
-    per_state = _simplex_lattice(I, action_resolution)
+    per_state = SimplexGrid.create(I, action_resolution).points
     best_val, best_a = -np.inf, None
     candidates: list[tuple[float, np.ndarray]] = []
     for combo in itertools.product(range(len(per_state)), repeat=K):

@@ -154,6 +154,28 @@ class TestChoquet:
         gap = dirac.expect(cert.separator_eval) - spread.expect(cert.separator_eval)
         assert gap == pytest.approx(cert.separator_gap, abs=1e-6)
 
+    def test_lp_count(self, monkeypatch):
+        """Dominance costs the coupling LP; non-dominance adds only the
+        separating concave function's LP."""
+        from rgsolve import beliefs, lp
+
+        calls = []
+        original = lp.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        monkeypatch.setattr(beliefs, "solve_lp", counting)
+        spread = measure([[1, 0], [0, 1]], [0.5, 0.5])
+        dirac = BeliefMeasure.dirac([0.5, 0.5])
+        assert not rg.choquet_dominates(spread, dirac)[0]
+        assert len(calls) == 2
+        calls.clear()
+        assert rg.choquet_dominates(dirac, spread)[0]
+        assert len(calls) == 1
+
     def test_reflexive(self):
         u = measure([[0.3, 0.7], [0.6, 0.4]], [0.45, 0.55])
         ok, _ = rg.choquet_dominates(u, u)

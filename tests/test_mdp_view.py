@@ -69,6 +69,18 @@ class TestRoundTrip:
         replay = play_of_markov_strategy(aux, aux.pihat, rule, horizon=2)
         assert [y for _, y in replay] == pytest.approx([y for _, y in play], abs=1e-8)
 
+    def test_realized_strategy_survives_json(self, am_aux, tmp_path):
+        play = play_of_markov_strategy(am_aux, am_aux.pihat, SplitThenHold(), horizon=3)
+        rule = markov_strategy_of_play(am_aux, am_aux.pihat, play)
+        rg.save_strategy(rule, tmp_path / "rule.json")
+        loaded = rg.load_strategy(tmp_path / "rule.json")
+        # stage t acts on the atoms of the measure reached after t - 1 stages;
+        # past the last stage the last rule is held
+        measures = [am_aux.pihat] + [u for u, _ in play]
+        for t, u in enumerate(measures, start=1):
+            for p in u.atoms:
+                assert np.array_equal(loaded.stacked_action(t, p), rule.stacked_action(t, p))
+
     def test_infeasible_play_identifies_step(self, am_aux):
         play = play_of_markov_strategy(am_aux, am_aux.pihat, SplitThenHold(), horizon=2)
         # corrupt the second step's payoff beyond anything realizable

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import rgsolve as rg
-from rgsolve.strategies import extract_p1_longrun
-from rgsolve.values import ThetaWeights
+from rgsolve.strategies import MarkovStrategy1, extract_p1_longrun
+from rgsolve.values import SimplexGrid, ThetaWeights
+from rgsolve.values.grid import nearest
 
 from conftest import AM_MATRICES, make_k1_spec
 
@@ -71,6 +72,18 @@ class TestP2Strategies:
             spec, sigma, tau, rg.PlayoutConfig(horizon=40, replications=50, seed=5)
         )
         assert stats.mean == pytest.approx(0.5, abs=3 * stats.stderr + 0.02)
+
+
+class TestNearestLookup:
+    def test_l1_ties_go_to_the_lower_index(self):
+        grid = SimplexGrid.create(2, 2)  # rows (0, 1), (0.5, 0.5), (1, 0)
+        # each belief is at l1 distance 0.5 from two neighbouring rows
+        assert nearest(grid.points, [0.25, 0.75]) == 0
+        assert nearest(grid.points, [0.75, 0.25]) == 1
+        assert grid.nearest_index(np.array([0.25, 0.75])) == 0
+        acts = np.arange(grid.size * 2, dtype=float).reshape(grid.size, 1, 2)
+        sigma = MarkovStrategy1(stage_atoms=(grid.points,), stage_actions=(acts,), slack=0.0)
+        assert np.array_equal(sigma.stacked_action(1, [0.75, 0.25]), acts[1])
 
 
 class TestSerialization:
