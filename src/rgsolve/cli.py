@@ -278,13 +278,7 @@ def cmd_simulate(args) -> int:
         raise CliError("--p1 file must hold a player-1 strategy")
     if not hasattr(tau, "mixture"):
         raise CliError("--p2 file must hold a player-2 strategy")
-    config = PlayoutConfig(
-        horizon=args.horizon,
-        replications=args.reps,
-        seed=args.seed,
-        p1_id=os.path.basename(args.p1),
-        p2_id=os.path.basename(args.p2),
-    )
+    config = PlayoutConfig(horizon=args.horizon, replications=args.reps, seed=args.seed)
     trace: list | None = [] if args.trace else None
     stats = simulate(aux, sigma, tau, config, trace=trace)
     manifest = _manifest(

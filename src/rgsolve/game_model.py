@@ -607,10 +607,6 @@ class AuxGame:
         """Unnormalized next-(state, signal2) table, shape (K, D)."""
         return np.einsum("k,ki,kind->nd", p, a, self.qbar)
 
-    def next_marginal(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Next-state marginal (linear in both arguments)."""
-        return self.state_signal_columns(p, a).sum(axis=1)
-
     def belief_step(self, p: np.ndarray, a: np.ndarray) -> BeliefMeasure:
         return disintegrate(self.state_signal_columns(p, a))
 

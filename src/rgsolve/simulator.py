@@ -13,6 +13,7 @@ proof of the universal guarantee.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,6 @@ class PlayoutConfig:
     horizon: int
     replications: int
     seed: int
-    p1_id: str = "p1"
-    p2_id: str = "p2"
-    track_beliefs: bool = True
 
     def __post_init__(self):
         if self.horizon < 1 or self.replications < 1:
@@ -111,11 +109,8 @@ def simulate(
             stage_sum[t - 1] += g
             nxt = _draw(rng, flat_q[k, i, j])
             k, c, d = np.unravel_index(nxt, shape_next)
-            if config.track_beliefs:
-                col = np.einsum("k,ki,kin->n", belief, a, aux.qbar[:, :, :, d])
-                belief = (
-                    col / col.sum() if col.sum() > 0 else np.full(sp.nK, 1.0 / sp.nK)
-                )
+            col = np.einsum("k,ki,kin->n", belief, a, aux.qbar[:, :, :, d])
+            belief = col / col.sum() if col.sum() > 0 else np.full(sp.nK, 1.0 / sp.nK)
         totals[rep] = acc / config.horizon
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / np.sqrt(config.replications)) if config.replications > 1 else 0.0
@@ -209,8 +204,6 @@ def adversary_suite_p2(aux: AuxGame, sigma) -> dict[str, object]:
 
 def adversary_suite_p1(aux: AuxGame, tau, max_pure: int = 16) -> dict[str, object]:
     """Opponents for auditing an uninformed-player strategy."""
-    import itertools
-
     suite: dict[str, object] = {"uniform": UniformP1(aux.nK, aux.nI)}
     count = 0
     for combo in itertools.product(range(aux.nI), repeat=aux.nK):
@@ -279,13 +272,7 @@ def guarantee_check(
     all_ok = True
     for name, adv in adversaries.items():
         for h in horizons:
-            cfg = PlayoutConfig(
-                horizon=h,
-                replications=config.replications,
-                seed=config.seed,
-                p1_id=config.p1_id if player == 1 else name,
-                p2_id=name if player == 1 else config.p2_id,
-            )
+            cfg = PlayoutConfig(horizon=h, replications=config.replications, seed=config.seed)
             stats = (
                 simulate(aux, strategy, adv, cfg)
                 if player == 1

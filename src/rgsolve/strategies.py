@@ -360,7 +360,7 @@ def cavu_oracle(matrices: list[np.ndarray], resolution: int = 64) -> CavUOracle:
     lip = float(np.abs(mats).max())
     rho = grid.covering_radius
     if K <= 2:
-        pieces = hull_pieces_1d(grid.points[:, 0], u_vals)
+        pieces = hull_pieces_1d(grid.points, u_vals)
     else:
         pieces = upper_facets(grid.points, u_vals) or [(float(u_vals.max()), np.zeros(3))]
     return CavUOracle(

@@ -74,16 +74,11 @@ def _sweep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One application of the stage operator to the bound pair."""
     if grid.size == 1:
-        # single belief point: the stage decomposes exactly
-        v1, a, b = one_shot_lp(aux, grid.points[0])
-        lo = alpha * v1 + (1 - alpha) * float(vlow[0])
-        up = alpha * v1 + (1 - alpha) * float(vup[0])
-        return (
-            np.array([lo]),
-            np.array([up]),
-            a[None, :, :],
-            b[None, :],
-        )
+        # single belief point: the stage decomposes exactly, so the memoized
+        # one-shot LP stands in for both stage LPs; a one-state w_mn runs
+        # thousands of sweeps, and two LPs per sweep make it ~70x slower
+        v1, a, b = one_shot_lp(aux, grid.points)
+        return alpha * v1 + (1 - alpha) * vlow, alpha * v1 + (1 - alpha) * vup, a, b
     pieces = concave_majorant(grid, vup)
     lo, argmax = stage_lower_lp(aux, grid.points, alpha, grid, vlow)
     up, _, opponent = stage_upper_lp(aux, grid.points, alpha, pieces)

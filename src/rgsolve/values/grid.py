@@ -40,24 +40,17 @@ class SimplexGrid:
         shared, so its points are read-only."""
         if dim < 1 or resolution < 1:
             raise ValueError("dimension and resolution must be positive")
-        if dim == 1:
-            pts = np.ones((1, 1))
-        else:
-            combos = itertools.combinations(
-                range(resolution + dim - 1), dim - 1
-            )
-            rows = []
-            for cut in combos:
-                prev = -1
-                parts = []
-                for c in cut:
-                    parts.append(c - prev - 1)
-                    prev = c
-                parts.append(resolution + dim - 2 - prev)
-                rows.append(parts)
-            pts = np.array(rows, dtype=float) / resolution
-            order = np.lexsort(pts.T[::-1])
-            pts = pts[order]
+        rows = []
+        for cut in itertools.combinations(range(resolution + dim - 1), dim - 1):
+            prev = -1
+            parts = []
+            for c in cut:
+                parts.append(c - prev - 1)
+                prev = c
+            parts.append(resolution + dim - 2 - prev)
+            rows.append(parts)
+        pts = np.array(rows, dtype=float) / resolution
+        pts = pts[np.lexsort(pts.T[::-1])]
         pts.flags.writeable = False
         return SimplexGrid(dim=dim, resolution=resolution, points=pts)
 
@@ -72,8 +65,6 @@ class SimplexGrid:
     @property
     def covering_radius(self) -> float:
         """Upper bound on the l1 distance from any belief to the lattice."""
-        if self.dim == 1:
-            return 0.0
         return (self.dim - 1) / self.resolution
 
     def l1_to(self, x: np.ndarray) -> np.ndarray:
@@ -101,8 +92,6 @@ def lipschitz_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> flo
 def concave_comb_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
     """Best barycentric lower bound: max sum lam_g values[g] over
     decompositions of x into grid points (the concave hull at x)."""
-    if grid.dim == 1:
-        return float(values[0])
     G = grid.size
     A_eq = np.vstack([grid.points.T, np.ones(G)])
     b_eq = np.concatenate([np.asarray(x, float), [1.0]])
@@ -154,8 +143,6 @@ def cav_pieces_from_points(points: np.ndarray, values: np.ndarray) -> Pieces:
     points = np.atleast_2d(np.asarray(points, float))
     vals = np.asarray(values, float)
     K = points.shape[1]
-    if K == 1:
-        return [(float(vals.min()), np.zeros(1))]
     if K > 2:
         return [(float(vals.max()) + 2.0, np.zeros(K))]
     return _cav_env_dim2(points, vals)
@@ -171,12 +158,16 @@ def _cav_env_dim2(points: np.ndarray, vals: np.ndarray) -> Pieces:
     cy = np.full(cx.shape, np.inf)
     for x, v in zip(xs, vals):
         np.minimum(cy, v + 2.0 * np.abs(cx - x), out=cy)
-    return hull_pieces_1d(cx, cy)
+    # simplex points of the input's K: (x0, 1 - x0), or (1) for one state
+    return hull_pieces_1d(np.column_stack([cx, 1.0 - cx][: points.shape[1]]), cy)
 
 
-def hull_pieces_1d(xs: np.ndarray, ys: np.ndarray) -> Pieces:
-    """Upper concave hull of the points (xs, ys) over first coordinates of a
-    two-state simplex, as pieces c + s . x with s = (slope, 0)."""
+def hull_pieces_1d(points: np.ndarray, ys: np.ndarray) -> Pieces:
+    """Upper concave hull of the graph of ``ys`` over (G, K) points of a
+    simplex with K <= 2 states and distinct first coordinates, as pieces
+    c + s . x with s = (slope, 0); a single point gives one constant piece
+    with s = 0 of length K."""
+    xs = points[:, 0]
     order = np.argsort(xs)
     hx: list[float] = []
     hy: list[float] = []
@@ -194,7 +185,7 @@ def hull_pieces_1d(xs: np.ndarray, ys: np.ndarray) -> Pieces:
         slope = (y2 - y1) / (x2 - x1)
         pieces.append((float(y1 - slope * x1), np.array([slope, 0.0])))
     if not pieces:
-        pieces.append((float(hy[0]), np.zeros(2)))
+        pieces.append((float(hy[0]), np.zeros(points.shape[1])))
     return pieces
 
 

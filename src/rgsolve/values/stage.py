@@ -82,11 +82,7 @@ def stage_lower_lp(
     if aux.nK >= 3:
         parts = [_barycentric_lower(aux, p, alpha, grid, vlow) for p in points]
         return np.array([v for v, _ in parts]), np.array([a for _, a in parts])
-    if aux.nK == 2:
-        pieces = hull_pieces_1d(grid.points[:, 0], vlow)
-    else:
-        pieces = [(float(vlow[0]), np.zeros(1))]
-    values, actions, _ = stage_upper_lp(aux, points, alpha, pieces)
+    values, actions, _ = stage_upper_lp(aux, points, alpha, hull_pieces_1d(grid.points, vlow))
     return values, actions
 
 

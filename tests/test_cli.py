@@ -148,6 +148,25 @@ def test_oracle_cavu(am_spec_file, tmp_path):
     assert cav_by_p[0.5] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_oracle_cavu_one_state(tmp_path):
+    # value 1 on the payoff scale of the spec, 1/2 after normalization
+    spec = make_k1_spec(np.array([[3.0, -1.0], [-2.0, 4.0]]))
+    path = tmp_path / "k1.json"
+    rg.save_spec(spec, path)
+    out = tmp_path / "cav.csv"
+    code = main(["oracle", "cavu", str(path), "--out", str(out)])
+    assert code == 0
+    rows = [
+        l.split(",") for l in out.read_text().splitlines()
+        if l and not l.startswith("#") and not l.startswith("p0")
+    ]
+    assert len(rows) == 1
+    p0, u, cav_u = map(float, rows[0])
+    assert p0 == 1.0
+    assert u == pytest.approx(1.0, abs=1e-9)
+    assert cav_u == pytest.approx(1.0, abs=1e-9)
+
+
 def test_oracle_rejects_moving_state(tmp_path):
     kernel = np.zeros((2, 2, 2))
     kernel[0, :, 1] = 1.0

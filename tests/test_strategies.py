@@ -154,6 +154,13 @@ class TestCavUOracle:
         for pt, uv in zip(oracle.points, oracle.u_values):
             assert oracle.cav(pt) >= uv - 1e-9
 
+    def test_one_state_is_the_matrix_value(self):
+        mat = np.array([[0.9, 0.1], [0.2, 0.8]])
+        oracle = rg.cavu_oracle([mat], resolution=4)
+        value = rg.matrix_game_value(mat).value
+        assert oracle.u(np.array([1.0])) == oracle.cav(np.array([1.0])) == value
+        assert oracle.error_bound == 0.0
+
     def test_four_states_rejected(self):
         with pytest.raises(ValueError, match="3 states"):
             rg.cavu_oracle([np.eye(2)] * 4, resolution=4)

@@ -559,7 +559,7 @@ def _cav_env_dim2_scalar(points, vals):
         slope = (y2 - y1) / (x2 - x1)
         pieces.append((float(y1 - slope * x1), np.array([slope, 0.0])))
     if not pieces:
-        pieces.append((float(cy[0]), np.zeros(2)))
+        pieces.append((float(cy[0]), np.zeros(points.shape[1])))
     return pieces
 
 
@@ -579,3 +579,13 @@ def test_cav_envelope_matches_scalar_loop_bitwise(resolution):
         assert len(fast) == len(slow)
         for (c1, s1), (c2, s2) in zip(fast, slow):
             assert c1 == c2 and np.array_equal(s1, s2)
+
+
+def test_cav_envelope_of_one_point_matches_scalar_loop():
+    points = SimplexGrid.create(1, 4).points
+    for v in [0.0, 0.3, 1.0]:
+        fast = _cav_env_dim2(points, np.array([v]))
+        slow = _cav_env_dim2_scalar(points, np.array([v]))
+        assert len(fast) == len(slow) == 1
+        (c1, s1), (c2, s2) = fast[0], slow[0]
+        assert c1 == c2 == v and np.array_equal(s1, s2) and s1.shape == (1,)
