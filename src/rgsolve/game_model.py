@@ -596,8 +596,9 @@ class AuxGame:
         return self.spec.nD
 
     def gbar(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Expected payoff against each pure opposing action: vector over j."""
-        return np.einsum("k,ki,kij->j", p, a, self.payoff)
+        """Expected payoff against each pure opposing action: vector over j,
+        or (R, J) for an (R, K) stack of beliefs with (R, K, I) actions."""
+        return np.einsum("...k,...ki,kij->...j", p, a, self.payoff)
 
     def guaranteed_payoff(self, p: np.ndarray, a: np.ndarray) -> float:
         """Stage payoff secured at belief p by the stacked action a."""

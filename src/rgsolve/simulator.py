@@ -2,9 +2,10 @@
 
 Each replication draws from its own Philox stream keyed by (seed,
 replication index), so results are reproducible bit for bit and
-independent of scheduling. The simulator tracks the public belief (the
-uninformed player's posterior over states given their signals and the
-declared informed strategy) and hands it to belief-indexed strategies.
+independent of scheduling. All replications advance together, one stage
+at a time. The simulator tracks the public belief (the uninformed player's
+posterior over states given their signals and the declared informed
+strategy) and hands it to belief-indexed strategies.
 
 Guarantee audits run a strategy against a fixed adversary suite; they are
 sampling-based checks against certified targets, labeled "audit", never a
@@ -55,13 +56,56 @@ class PayoffStats:
         }
 
 
-def _draw(rng, probs: np.ndarray) -> int:
-    c = np.cumsum(probs)
-    return int(np.searchsorted(c, rng.random() * c[-1], side="right").clip(0, len(probs) - 1))
+# stages whose uniforms each replication draws at once: the draws held in
+# memory are replications x 3 x _CHUNK floats, whatever the horizon
+_CHUNK = 64
 
 
 def _replication_rng(seed: int, rep: int):
     return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+
+
+def _takes_stacks(obj) -> bool:
+    """Whether ``obj``'s lookup accepts an (R, K) stack of beliefs; its class
+    declares so with ``takes_stacks = True``."""
+    return getattr(obj, "takes_stacks", False) is True
+
+
+def _lookup(obj, method: str, t: int, beliefs: np.ndarray) -> np.ndarray:
+    """One stage's lookups for all replications, stacked along the first
+    axis: one call on the stack, or one call per replication in order."""
+    fn = getattr(obj, method)
+    if _takes_stacks(obj):
+        return np.asarray(fn(t, beliefs), dtype=float)
+    return np.stack([np.asarray(fn(t, p), dtype=float) for p in beliefs])
+
+
+def _draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one index per row of ``probs`` from the uniforms u:
+    the count of cumulative sums at most u times the row's total, capped at
+    the last index."""
+    c = np.cumsum(probs, axis=1)
+    return np.minimum((c <= (u * c[:, -1])[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+
+def _posterior(cols: np.ndarray) -> np.ndarray:
+    """Normalize each row; a row of zero mass gives the uniform belief."""
+    mass = cols.sum(axis=1)
+    out = np.full(cols.shape, 1.0 / cols.shape[1])
+    seen = mass > 0
+    out[seen] = cols[seen] / mass[seen, None]
+    return out
+
+
+def _validate(rows: np.ndarray, who: str, t: int, beliefs: np.ndarray) -> None:
+    sums = rows.sum(axis=1)
+    bad = ~((rows.min(axis=1) >= -1e-9) & (np.abs(sums - 1.0) <= 1e-6))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError(
+            f"{who} emitted an invalid distribution at stage {t}, replication {r}, "
+            f"belief {beliefs[r].tolist()} (sum {sums[r]})"
+        )
 
 
 def simulate(
@@ -74,57 +118,67 @@ def simulate(
     """Estimate the average payoff of the strategy pair over the horizon.
 
     ``sigma`` exposes ``stacked_action(t, belief) -> (K, I)``; ``tau``
-    exposes ``mixture(t, belief) -> (J,)``. When ``trace`` is a list,
-    per-stage records (replication, stage, state, actions, payoff) are
-    appended to it.
+    exposes ``mixture(t, belief) -> (J,)``. All replications advance one
+    stage at a time: a strategy whose class sets ``takes_stacks = True``
+    gets the (R, K) stack of beliefs and returns (R, K, I) or (R, J); any
+    other is called once per replication, in replication order. Each
+    replication consumes its own stream as one uniform for the initial
+    state, then three per stage. When ``trace`` is a list, per-stage
+    records (replication, stage, state, actions, payoff) are appended to it
+    in (replication, stage) order.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     sp = aux.spec
+    R, H = config.replications, config.horizon
     flat_init = sp.initial.ravel()
-    shape_init = sp.initial.shape
     flat_q = sp.transition.reshape(sp.nK, sp.nI, sp.nJ, -1)
     shape_next = (sp.nK, sp.nC, sp.nD)
     joint0 = sp.initial.sum(axis=1)  # (K, D)
+    rngs = [_replication_rng(config.seed, rep) for rep in range(R)]
+    reps = np.arange(R)
 
-    totals = np.empty(config.replications)
-    stage_sum = np.zeros(config.horizon)
-    for rep in range(config.replications):
-        rng = _replication_rng(config.seed, rep)
-        idx = _draw(rng, flat_init)
-        k, c, d = np.unravel_index(idx, shape_init)
-        col = joint0[:, d]
-        belief = col / col.sum() if col.sum() > 0 else np.full(sp.nK, 1.0 / sp.nK)
-        acc = 0.0
-        for t in range(1, config.horizon + 1):
-            a = np.asarray(sigma.stacked_action(t, belief), dtype=float)
-            _validate_mixture(a[k], f"player 1 at stage {t}")
-            i = _draw(rng, a[k])
-            b = np.asarray(tau.mixture(t, belief), dtype=float)
-            _validate_mixture(b, f"player 2 at stage {t}")
-            j = _draw(rng, b)
-            g = float(sp.payoff[k, i, j])
-            acc += g
-            if trace is not None:
-                trace.append((rep, t, sp.states[k], sp.actions1[i], sp.actions2[j], g))
-            stage_sum[t - 1] += g
-            nxt = _draw(rng, flat_q[k, i, j])
-            k, c, d = np.unravel_index(nxt, shape_next)
-            col = np.einsum("k,ki,kin->n", belief, a, aux.qbar[:, :, :, d])
-            belief = col / col.sum() if col.sum() > 0 else np.full(sp.nK, 1.0 / sp.nK)
-        totals[rep] = acc / config.horizon
+    u0 = np.array([rng.random() for rng in rngs])
+    idx = _draw_rows(np.broadcast_to(flat_init, (R, flat_init.size)), u0)
+    k, _, d = np.unravel_index(idx, sp.initial.shape)
+    beliefs = _posterior(joint0.T[d])
+    acc = np.zeros(R)
+    stage_sum = np.zeros(H)
+    steps = []  # (k, i, j, g) of every stage, kept only for the trace
+    for t in range(1, H + 1):
+        s = (t - 1) % _CHUNK
+        if s == 0:
+            n = min(_CHUNK, H - t + 1)
+            u = np.stack([rng.random(3 * n) for rng in rngs]).reshape(R, n, 3)
+        a = _lookup(sigma, "stacked_action", t, beliefs)  # (R, K, I)
+        rows = a[reps, k]
+        _validate(rows, "player 1", t, beliefs)
+        i = _draw_rows(rows, u[:, s, 0])
+        b = _lookup(tau, "mixture", t, beliefs)  # (R, J)
+        _validate(b, "player 2", t, beliefs)
+        j = _draw_rows(b, u[:, s, 1])
+        g = sp.payoff[k, i, j]
+        acc += g
+        # summed in replication order, one addition after another
+        stage_sum[t - 1] += np.cumsum(g)[-1]
+        if trace is not None:
+            steps.append((k, i, j, g))
+        k, _, d = np.unravel_index(_draw_rows(flat_q[k, i, j], u[:, s, 2]), shape_next)
+        beliefs = _posterior(np.einsum("rk,rki,kinr->rn", beliefs, a, aux.qbar[:, :, :, d]))
+    if trace is not None:
+        ks, i1, j2, gs = (np.stack(col, axis=1).tolist() for col in zip(*steps))  # (R, H)
+        for rep in range(R):
+            for t in range(H):
+                state, a1, a2 = sp.states[ks[rep][t]], sp.actions1[i1[rep][t]], sp.actions2[j2[rep][t]]
+                trace.append((rep, t + 1, state, a1, a2, gs[rep][t]))
+    totals = acc / H
     mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / np.sqrt(config.replications)) if config.replications > 1 else 0.0
+    stderr = float(totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0
     return PayoffStats(
         mean=mean,
         stderr=stderr,
-        stage_means=stage_sum / config.replications,
-        replications=config.replications,
+        stage_means=stage_sum / R,
+        replications=R,
     )
-
-
-def _validate_mixture(v: np.ndarray, who: str) -> None:
-    if v.min() < -1e-9 or abs(v.sum() - 1.0) > 1e-6:
-        raise ValueError(f"{who} emitted an invalid distribution (sum {v.sum()})")
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +186,30 @@ def _validate_mixture(v: np.ndarray, who: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _per_belief(x: np.ndarray, p) -> np.ndarray:
+    """A belief-independent answer x: itself for one belief, repeated along
+    the rows of an (R, K) stack."""
+    return x if np.ndim(p) == 1 else np.broadcast_to(x, (len(p),) + x.shape)
+
+
 class UniformP2:
+    takes_stacks = True
+
     def __init__(self, nJ: int):
-        self.nJ = nJ
+        self.v = np.full(nJ, 1.0 / nJ)
 
     def mixture(self, t, p):
-        return np.full(self.nJ, 1.0 / self.nJ)
+        return _per_belief(self.v, p)
 
 
 class PureP2:
+    takes_stacks = True
+
     def __init__(self, nJ: int, j: int):
         self.v = np.eye(nJ)[j]
 
     def mixture(self, t, p):
-        return self.v
+        return _per_belief(self.v, p)
 
 
 class MyopicP2:
@@ -156,28 +220,36 @@ class MyopicP2:
         self.aux = aux
         self.sigma = sigma
 
+    @property
+    def takes_stacks(self) -> bool:
+        return _takes_stacks(self.sigma)
+
     def mixture(self, t, p):
         a = self.sigma.stacked_action(t, p)
         per_j = self.aux.gbar(np.asarray(p, float), np.asarray(a, float))
-        return np.eye(self.aux.nJ)[int(np.argmin(per_j))]
+        return np.eye(self.aux.nJ)[np.argmin(per_j, axis=-1)]
 
 
 class UniformP1:
+    takes_stacks = True
+
     def __init__(self, nK: int, nI: int):
         self.a = np.full((nK, nI), 1.0 / nI)
 
     def stacked_action(self, t, p):
-        return self.a
+        return _per_belief(self.a, p)
 
 
 class PureP1:
     """Stationary state-indexed pure actions."""
 
+    takes_stacks = True
+
     def __init__(self, nI: int, choice: tuple[int, ...]):
         self.a = np.eye(nI)[list(choice)]
 
     def stacked_action(self, t, p):
-        return self.a
+        return _per_belief(self.a, p)
 
 
 class MyopicP1:
@@ -187,10 +259,14 @@ class MyopicP1:
         self.aux = aux
         self.tau = tau
 
+    @property
+    def takes_stacks(self) -> bool:
+        return _takes_stacks(self.tau)
+
     def stacked_action(self, t, p):
         b = np.asarray(self.tau.mixture(t, p), dtype=float)
-        scores = np.einsum("kij,j->ki", self.aux.payoff, b)
-        return np.eye(self.aux.nI)[np.argmax(scores, axis=1)]
+        scores = np.einsum("kij,...j->...ki", self.aux.payoff, b)
+        return np.eye(self.aux.nI)[np.argmax(scores, axis=-1)]
 
 
 def adversary_suite_p2(aux: AuxGame, sigma) -> dict[str, object]:

@@ -53,21 +53,29 @@ class MarkovStrategy1:
     payoff_tensor: np.ndarray | None = None  # (K, I, J) for the maintenance rule
     meta: dict = field(default_factory=dict)
 
+    takes_stacks = True  # lookups accept an (R, K) stack of beliefs
+
     def __post_init__(self):
         object.__setattr__(self, "_tail_cache", {})
 
     def stacked_action(self, t: int, p: np.ndarray) -> np.ndarray:
+        """(K, I) at a belief p, or (R, K, I) for an (R, K) stack."""
         if t > len(self.stage_atoms) and self.payoff_tensor is not None:
             return self._maintenance(p)
         idx = min(t, len(self.stage_atoms)) - 1
         return self.stage_actions[idx][nearest(self.stage_atoms[idx], p)]
 
     def _maintenance(self, p: np.ndarray) -> np.ndarray:
-        key = np.round(np.asarray(p, float), 12).tobytes()
-        if key not in self._tail_cache:
-            row = _nonrevealing_game(np.asarray(p, float), self.payoff_tensor).row_strategy
-            self._tail_cache[key] = np.tile(row, (self.payoff_tensor.shape[0], 1))
-        return self._tail_cache[key]
+        """The tail's rule, cached per belief rounded to 12 digits."""
+        beliefs = np.atleast_2d(np.asarray(p, float))
+        out = []
+        for q, key in zip(beliefs, np.round(beliefs, 12)):
+            key = key.tobytes()
+            if key not in self._tail_cache:
+                row = _nonrevealing_game(q, self.payoff_tensor).row_strategy
+                self._tail_cache[key] = np.tile(row, (self.payoff_tensor.shape[0], 1))
+            out.append(self._tail_cache[key])
+        return out[0] if np.ndim(p) == 1 else np.stack(out)
 
     def to_json(self) -> dict:
         return {
@@ -115,6 +123,8 @@ class BlockStrategy2:
     slack: float
     meta: dict = field(default_factory=dict)
 
+    takes_stacks = True  # lookups accept an (R, K) stack of beliefs
+
     def _locate(self, t: int) -> tuple[int, int]:
         total = sum(self.schedule)
         t0 = t - 1
@@ -129,6 +139,7 @@ class BlockStrategy2:
         return len(self.schedule) - 1, self.schedule[-1] - 1
 
     def mixture(self, t: int, p: np.ndarray) -> np.ndarray:
+        """(J,) at a belief p, or (R, J) for an (R, K) stack."""
         b, s = self._locate(t)
         atoms = self.block_atoms[b][s]
         return self.block_mixtures[b][s][nearest(atoms, p)]

@@ -74,10 +74,12 @@ class SimplexGrid:
         return nearest(self.points, x)
 
 
-def nearest(atoms: np.ndarray, p: np.ndarray) -> int:
+def nearest(atoms: np.ndarray, p: np.ndarray):
     """Row of ``atoms`` closest to the belief p in l1; on a tie, the lower
-    row, so lookups (and seeded playouts) are reproducible."""
-    return int(np.argmin(np.abs(atoms - np.asarray(p, float)).sum(axis=1)))
+    row, so lookups (and seeded playouts) are reproducible. An (R, K) stack
+    of beliefs gives the (R,) array of rows."""
+    dist = np.abs(atoms - np.asarray(p, float)[..., None, :]).sum(axis=-1)
+    return int(np.argmin(dist)) if dist.ndim == 1 else np.argmin(dist, axis=-1)
 
 
 def lipschitz_upper(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:

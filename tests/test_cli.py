@@ -126,6 +126,26 @@ def test_strategy_and_simulate_pipeline(am_spec_file, tmp_path):
     assert any(l.startswith("# command: simulate") for l in lines)
 
 
+def test_simulate_trace_rows_in_replication_then_stage_order(am_spec_file, tmp_path):
+    p1 = tmp_path / "p1.json"
+    p2 = tmp_path / "p2.json"
+    assert main(["strategy", am_spec_file, "--player", "1", "--n", "2",
+                 "--grid", "8", "--out", str(p1)]) == 0
+    assert main(["strategy", am_spec_file, "--player", "2", "--n", "2",
+                 "--grid", "8", "--out", str(p2)]) == 0
+    trace = tmp_path / "trace.csv"
+    reps, horizon = 4, 7
+    assert main(
+        ["simulate", am_spec_file, "--p1", str(p1), "--p2", str(p2),
+         "--horizon", str(horizon), "--reps", str(reps), "--seed", "5",
+         "--trace", str(trace), "--out", str(tmp_path / "stats.json")]
+    ) == 0
+    body = [l for l in trace.read_text().splitlines() if not l.startswith("#")]
+    rows = [tuple(int(x) for x in line.split(",")[:2]) for line in body[1:]]
+    assert len(rows) == reps * horizon
+    assert rows == [(r, t) for r in range(reps) for t in range(1, horizon + 1)]
+
+
 def test_strategy_growing_blocks(am_spec_file, tmp_path):
     out = tmp_path / "grow.json"
     code = main(["strategy", am_spec_file, "--player", "2", "--blocks", "growing",

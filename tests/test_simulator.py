@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import rgsolve as rg
-from rgsolve.simulator import UniformP1, UniformP2
+from rgsolve.simulator import (
+    UniformP1,
+    UniformP2,
+    _takes_stacks,
+    adversary_suite_p1,
+    adversary_suite_p2,
+)
 from rgsolve.values import play_of_markov_strategy
 
 from conftest import make_k1_spec
@@ -30,6 +36,32 @@ class TestDeterminism:
         assert s1.stderr == s2.stderr
         assert np.array_equal(s1.stage_means, s2.stage_means)
 
+    def test_matches_recorded_values(self, am_aux):
+        # recorded from the simulator that stepped one replication at a time
+        sigma = rg.extract_p1_markov(am_aux, n=2, resolution=8)
+        tau = rg.build_p2_cyclic(am_aux, 2, resolution=8)
+        cfg = rg.PlayoutConfig(horizon=32, replications=30, seed=123)
+        stats = rg.simulate(am_aux, sigma, tau, cfg)
+        assert stats.mean == 0.025
+        assert stats.stderr == 0.004075878721983989
+        assert stats.stage_means[:4].tolist() == [
+            0.16666666666666666, 0.6333333333333333, 0.0, 0.0
+        ]
+
+    def test_matches_recorded_values_across_draw_chunks(self, random_corpus):
+        # 130 stages span three chunks of pre-drawn uniforms; recorded from
+        # the simulator that drew one uniform at a time
+        aux = rg.auxiliary_game(random_corpus[3])
+        sigma = rg.extract_p1_markov(aux, n=2, resolution=8)
+        tau = rg.build_p2_cyclic(aux, 2, resolution=8)
+        cfg = rg.PlayoutConfig(horizon=130, replications=5, seed=123)
+        stats = rg.simulate(aux, sigma, tau, cfg)
+        assert stats.mean == 0.6599377680769123
+        assert stats.stderr == 0.002520831324179763
+        assert stats.stage_means[[63, 64, 129]].tolist() == [
+            0.5687912597062296, 0.7416262535776266, 0.5687912597062296
+        ]
+
     def test_seed_changes_samples(self, am_aux):
         sigma = rg.extract_p1_markov(am_aux, n=2, resolution=8)
         tau = rg.build_p2_cyclic(am_aux, 2, resolution=8)
@@ -45,6 +77,72 @@ class TestDeterminism:
         assert len(trace) == 12
         rep, stage, k, i, j, g = trace[0]
         assert (rep, stage) == (0, 1)
+
+
+class OneBelief:
+    """Forwards lookups one belief at a time: it has no ``takes_stacks``
+    marker, so the simulator calls it once per replication."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def stacked_action(self, t, p):
+        assert np.ndim(p) == 1
+        return self.inner.stacked_action(t, p)
+
+    def mixture(self, t, p):
+        assert np.ndim(p) == 1
+        return self.inner.mixture(t, p)
+
+
+def _playout(aux, sigma, tau, cfg):
+    trace = []
+    stats = rg.simulate(aux, sigma, tau, cfg, trace=trace)
+    return stats, trace
+
+
+class TestStackedLookups:
+    """Stacked lookups and per-replication calls give the same playout, bit
+    for bit, on every pair of both adversary suites."""
+
+    @pytest.mark.parametrize("game", ["am", "informed", "one-state"])
+    def test_stacked_equals_per_replication(self, game, am_aux, random_corpus):
+        if game == "am":
+            aux = am_aux
+        elif game == "informed":
+            aux = rg.auxiliary_game(random_corpus[3])
+        else:
+            aux = rg.auxiliary_game(make_k1_spec(np.array([[0.9, 0.1], [0.2, 0.8]])))
+        sigma = rg.extract_p1_markov(aux, n=2, resolution=8)  # tail from stage 3
+        tau = rg.build_p2_cyclic(aux, 2, resolution=8)
+        cfg = rg.PlayoutConfig(horizon=9, replications=7, seed=31)
+        pairs = []
+        stacked_p2 = adversary_suite_p2(aux, sigma)
+        single_p2 = adversary_suite_p2(aux, OneBelief(sigma))
+        for name in stacked_p2:
+            pairs.append(((sigma, stacked_p2[name]), (OneBelief(sigma), OneBelief(single_p2[name]))))
+        stacked_p1 = adversary_suite_p1(aux, tau)
+        single_p1 = adversary_suite_p1(aux, OneBelief(tau))
+        for name in stacked_p1:
+            pairs.append(((stacked_p1[name], tau), (OneBelief(single_p1[name]), OneBelief(tau))))
+        for (s1, t1), (s2, t2) in pairs:
+            assert _takes_stacks(s1) and _takes_stacks(t1)
+            assert not _takes_stacks(s2) and not _takes_stacks(t2)
+            a, trace_a = _playout(aux, s1, t1, cfg)
+            b, trace_b = _playout(aux, s2, t2, cfg)
+            assert a.mean == b.mean
+            assert a.stderr == b.stderr
+            assert np.array_equal(a.stage_means, b.stage_means)
+            assert trace_a == trace_b
+
+    def test_trace_in_replication_then_stage_order(self, am_aux):
+        sigma = rg.extract_p1_markov(am_aux, n=2, resolution=8)
+        tau = rg.build_p2_cyclic(am_aux, 2, resolution=8)
+        _, trace = _playout(am_aux, sigma, tau, rg.PlayoutConfig(70, 3, seed=4))
+        # 70 stages cross the boundary of one block of pre-drawn uniforms
+        assert [row[:2] for row in trace] == [
+            (rep, t) for rep in range(3) for t in range(1, 71)
+        ]
 
 
 class TestEstimator:
@@ -146,3 +244,46 @@ class TestGuaranteeCheck:
             rg.simulate(
                 am_aux, Broken(), UniformP2(2), rg.PlayoutConfig(4, 2, seed=0)
             )
+
+    def test_invalid_distribution_names_stage_and_replication(self, am_aux):
+        class BadStack:
+            """Stacked lookups; replication 2 goes bad at stage 3 only."""
+
+            takes_stacks = True
+
+            def stacked_action(self, t, beliefs):
+                a = np.full((len(beliefs), 2, 2), 0.5)
+                if t == 3:
+                    a[2] = [[0.9, 0.3], [0.9, 0.3]]
+                return a
+
+        with pytest.raises(ValueError, match="invalid distribution") as err:
+            rg.simulate(am_aux, BadStack(), UniformP2(2), rg.PlayoutConfig(6, 4, seed=0))
+        message = str(err.value)
+        assert "player 1" in message
+        assert "stage 3," in message
+        assert "replication 2," in message
+        assert "belief [" in message
+
+        class BadSecondCall:
+            """Called once per replication in replication order; the second
+            call at stage 5 goes bad."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def mixture(self, t, p):
+                if t == 5:
+                    self.calls += 1
+                    if self.calls == 2:
+                        return np.array([0.7, 0.7])
+                return np.array([0.5, 0.5])
+
+        with pytest.raises(ValueError, match="invalid distribution") as err:
+            rg.simulate(
+                am_aux, UniformP1(2, 2), BadSecondCall(), rg.PlayoutConfig(8, 4, seed=0)
+            )
+        message = str(err.value)
+        assert "player 2" in message
+        assert "stage 5," in message
+        assert "replication 1," in message

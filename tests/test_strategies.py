@@ -86,6 +86,53 @@ class TestNearestLookup:
         assert np.array_equal(sigma.stacked_action(1, [0.75, 0.25]), acts[1])
 
 
+class TestStackedLookups:
+    """An (R, K) stack of beliefs gives the row-by-row answers, stacked."""
+
+    @staticmethod
+    def _beliefs():
+        rng = np.random.default_rng(8)
+        x = np.concatenate([
+            rng.random(5),
+            [0.0, 1.0, 0.5],
+            [1 / 16, 3 / 16],  # l1 ties between two atoms of the resolution-8 lattice
+        ])
+        return np.column_stack([x, 1 - x])
+
+    def test_markov_stack_equals_rows(self, am_aux):
+        sigma = rg.extract_p1_markov(am_aux, n=2, resolution=8)
+        beliefs = self._beliefs()
+        # stage 1 inside the computed rules; stage 5 in the maintenance tail
+        for t in (1, 2, 5):
+            stacked = sigma.stacked_action(t, beliefs)
+            assert stacked.shape == (len(beliefs), 2, 2)
+            rows = [sigma.stacked_action(t, p) for p in beliefs]
+            assert all(row.shape == (2, 2) for row in rows)
+            assert np.array_equal(stacked, np.stack(rows))
+
+    def test_block_stack_equals_rows(self, am_aux):
+        tau = rg.build_p2_cyclic(am_aux, 2, resolution=8)
+        beliefs = self._beliefs()
+        # stage 5 wraps around the cycle of length 2
+        for t in (1, 2, 5):
+            stacked = tau.mixture(t, beliefs)
+            assert stacked.shape == (len(beliefs), 2)
+            rows = [tau.mixture(t, p) for p in beliefs]
+            assert all(row.shape == (2,) for row in rows)
+            assert np.array_equal(stacked, np.stack(rows))
+
+    def test_stacked_ties_go_to_the_lower_row(self):
+        grid = SimplexGrid.create(2, 2)  # rows (0, 1), (0.5, 0.5), (1, 0)
+        beliefs = np.array([[0.25, 0.75], [0.75, 0.25], [0.5, 0.5]])
+        assert nearest(grid.points, beliefs).tolist() == [0, 1, 1]
+        mix = np.arange(grid.size * 2, dtype=float).reshape(grid.size, 2)
+        tau = rg.BlockStrategy2(
+            schedule=(1,), block_atoms=((grid.points,),), block_mixtures=((mix,),),
+            cyclic=True, slack=0.0,
+        )
+        assert np.array_equal(tau.mixture(3, beliefs), mix[[0, 1, 1]])
+
+
 class TestSerialization:
     def test_p1_round_trip(self, am_aux, tmp_path):
         sigma = rg.extract_p1_markov(am_aux, n=2, resolution=8)
