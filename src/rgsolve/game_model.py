@@ -496,13 +496,31 @@ def spec_from_json(doc: dict) -> RepeatedGameSpec:
             raise SpecValidationError(f"unknown {label} label {val!r}")
         return table[val]
 
+    def add_entry(table: np.ndarray, where: str, entry) -> None:
+        """Add one {k, c, d, prob} entry to the (..., K, C, D) table."""
+        if not isinstance(entry, dict):
+            raise SpecValidationError(f"{where} is not an object")
+        missing = [key for key in ("k", "c", "d", "prob") if key not in entry]
+        if missing:
+            raise SpecValidationError(f"{where} lacks key {missing[0]!r}")
+        try:
+            prob = float(entry["prob"])
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError(
+                f"{where} has non-numeric prob {entry['prob']!r}"
+            ) from exc
+        try:
+            table[
+                lookup(k_ix, "state", entry["k"]),
+                lookup(c_ix, "signal1", entry["c"]),
+                lookup(d_ix, "signal2", entry["d"]),
+            ] += prob
+        except SpecValidationError as exc:
+            raise SpecValidationError(f"{where}: {exc}") from exc
+
     initial = np.zeros((len(states), len(sig1), len(sig2)))
-    for entry in doc.get("initial", []):
-        initial[
-            lookup(k_ix, "state", entry["k"]),
-            lookup(c_ix, "signal1", entry["c"]),
-            lookup(d_ix, "signal2", entry["d"]),
-        ] += float(entry["prob"])
+    for n, entry in enumerate(doc.get("initial", [])):
+        add_entry(initial, f"initial[{n}]", entry)
 
     payoff = np.zeros((len(states), len(acts1), len(acts2)))
     seen = np.zeros(payoff.shape, dtype=bool)
@@ -531,15 +549,8 @@ def spec_from_json(doc: dict) -> RepeatedGameSpec:
                 key = f"{states[k]}|{acts1[i]}|{acts2[j]}"
                 if key not in tdoc:
                     raise SpecValidationError(f"transition missing entry for {key}")
-                for entry in tdoc[key]:
-                    transition[
-                        k,
-                        i,
-                        j,
-                        lookup(k_ix, "state", entry["k"]),
-                        lookup(c_ix, "signal1", entry["c"]),
-                        lookup(d_ix, "signal2", entry["d"]),
-                    ] += float(entry["prob"])
+                for n, entry in enumerate(tdoc[key]):
+                    add_entry(transition[k, i, j], f"transition[{key!r}][{n}]", entry)
 
     return RepeatedGameSpec(
         states=states,

@@ -7,11 +7,20 @@ upper via a concave majorant), so the gap grows by at most the per-stage
 interpolation error, which is reported. A sweep hands all grid points to
 each stage operator at once. The ``jobs`` keyword of the public functions
 is accepted for compatibility and ignored.
+
+A sweep's output depends only on the game, the lattice and the alphas of
+the suffix chain from its stage inward, so sweeps are memoized on
+(resolution, exact alpha tail, outermost first). The memo belongs to the
+outermost of ``value_theta_grid``, ``w_mn`` and ``uniform_value_estimate``
+running on a game, is shared by the calls nested in it, and is dropped
+when that call returns or raises; its arrays are read-only.
 """
 
 from __future__ import annotations
 
 import logging
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +101,46 @@ def _sweep(
     return np.minimum(lo, up), np.maximum(lo, up), argmax, opponent
 
 
+# per game: {(resolution, alpha tail): (lower, upper, argmax, opponent)},
+# alive only while the outermost public call on that game runs
+_sweep_memos: "weakref.WeakKeyDictionary[AuxGame, dict]" = weakref.WeakKeyDictionary()
+
+
+@contextmanager
+def _memo_scope(aux: AuxGame):
+    """The game's sweep memo: created by the outermost public call, shared
+    by the calls nested in it, and dropped when the outermost one ends."""
+    memo = _sweep_memos.get(aux)
+    if memo is not None:
+        yield memo
+        return
+    memo = _sweep_memos[aux] = {}
+    try:
+        yield memo
+    finally:
+        _sweep_memos.pop(aux, None)
+
+
+def _memo_sweep(
+    memo: dict,
+    aux: AuxGame,
+    grid: SimplexGrid,
+    tail: tuple[float, ...],
+    vlow: np.ndarray,
+    vup: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_sweep`` at alpha ``tail[0]``, where (vlow, vup) are the bounds of
+    the suffix chain with alphas ``tail[1:]``."""
+    key = (grid.resolution, tail)
+    out = memo.get(key)
+    if out is None:
+        out = _sweep(aux, grid, tail[0], vlow, vup)
+        for arr in out:
+            arr.flags.writeable = False
+        memo[key] = out
+    return out
+
+
 def value_theta_grid(
     spec: RepeatedGameSpec | AuxGame,
     theta: ThetaWeights,
@@ -101,25 +150,23 @@ def value_theta_grid(
     """Certified bounds for the theta-weighted game on the belief lattice.
 
     ``jobs`` is accepted for compatibility and ignored: each sweep solves
-    its whole grid as a few block LPs in one thread.
+    its whole grid as a few block LPs in one thread. The returned arrays
+    are read-only.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     res = resolution or default_resolution(aux.nK)
     grid = SimplexGrid.create(aux.nK, res)
-    chain = suffix_chain(theta)
+    alphas = tuple(th.first_weight for th in suffix_chain(theta))
 
-    vlow, vup = None, None
-    rules: list[StageRule] = []
-    for idx in range(len(chain) - 1, -1, -1):
-        alpha = chain[idx].first_weight
-        if idx == len(chain) - 1:
-            # innermost suffix is the one-stage game: exact at lattice points
-            # the memo's read-only arrays, shared rather than copied
-            vlow, argmax, opponent = one_shot_lp(aux, grid.points)
-            vup = vlow
-        else:
-            vlow, vup, argmax, opponent = _sweep(aux, grid, alpha, vlow, vup)
-        rules.append(StageRule(alpha=alpha, argmax=argmax, opponent=opponent))
+    # innermost suffix is the one-stage game: exact at lattice points
+    # the memo's read-only arrays, shared rather than copied
+    vlow, argmax, opponent = one_shot_lp(aux, grid.points)
+    vup = vlow
+    rules = [StageRule(alpha=alphas[-1], argmax=argmax, opponent=opponent)]
+    with _memo_scope(aux) as memo:
+        for idx in range(len(alphas) - 2, -1, -1):
+            vlow, vup, argmax, opponent = _memo_sweep(memo, aux, grid, alphas[idx:], vlow, vup)
+            rules.append(StageRule(alpha=alphas[idx], argmax=argmax, opponent=opponent))
     rules.reverse()  # rules[0] now belongs to stage 1
     gap = float(np.max(vup - vlow))
     if gap > 0.5:
@@ -223,15 +270,17 @@ def w_mn(
         vg = value_theta_grid(aux, theta_lift(th, m), resolution)
         return evaluate_measure(vg, u)
 
-    evals = [(th, *bounds_for(th)) for th in thetas]
-    best = min(evals, key=lambda t: t[2])
-    theta_star, lo_star, up_star = best
-    cover = 0.0 if n == 1 else (n - 1) / theta_resolution
-    if refine and n > 1:
-        for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
-            lo, up = bounds_for(th)
-            if up < up_star:
-                theta_star, lo_star, up_star = th, lo, up
+    # the lifted chains share their inner tails
+    with _memo_scope(aux):
+        evals = [(th, *bounds_for(th)) for th in thetas]
+        best = min(evals, key=lambda t: t[2])
+        theta_star, lo_star, up_star = best
+        cover = 0.0 if n == 1 else (n - 1) / theta_resolution
+        if refine and n > 1:
+            for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
+                lo, up = bounds_for(th)
+                if up < up_star:
+                    theta_star, lo_star, up_star = th, lo, up
     lower = min(e[1] for e in evals) - cover / 2.0
     return WValueResult(
         lower=float(lower),
@@ -319,7 +368,11 @@ def uniform_value_estimate(
 
     Shifted columns are computed incrementally: the n-stage chain is built
     once per n, then the payoff-free control operator is applied max_m
-    times, evaluating the measure after each application.
+    times, evaluating the measure after each application. Column n after
+    m applications is keyed in the sweep memo on the alpha tail
+    ``(0.0,) * m`` + the ``uniform(n)`` tail, so the w cells, whose lifted
+    chains end in the same tails, reuse those sweeps instead of repeating
+    them.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     if u is None:
@@ -331,29 +384,32 @@ def uniform_value_estimate(
     v_lower = np.empty((M + 1, N))
     v_upper = np.empty((M + 1, N))
     max_gap = 0.0
-    for n in range(1, N + 1):
-        vg = value_theta_grid(aux, ThetaWeights.uniform(n), res)
-        vlow, vup = vg.lower.copy(), vg.upper.copy()
-        lo, hi = _measure_bounds(grid, vlow, vup, u)
-        v_lower[0, n - 1], v_upper[0, n - 1] = lo, hi
-        for m in range(1, M + 1):
-            vlow, vup, _, _ = _sweep(aux, grid, 0.0, vlow, vup)
+    w_cells: dict[tuple[int, int], WValueResult] = {}
+    with _memo_scope(aux) as memo:
+        for n in range(1, N + 1):
+            vg = value_theta_grid(aux, ThetaWeights.uniform(n), res)
+            vlow, vup = vg.lower, vg.upper
+            tail = tuple(rule.alpha for rule in vg.stage_rules)
             lo, hi = _measure_bounds(grid, vlow, vup, u)
-            v_lower[m, n - 1], v_upper[m, n - 1] = lo, hi
-        max_gap = max(max_gap, float(np.max(vup - vlow)))
+            v_lower[0, n - 1], v_upper[0, n - 1] = lo, hi
+            for m in range(1, M + 1):
+                tail = (0.0,) + tail
+                vlow, vup, _, _ = _memo_sweep(memo, aux, grid, tail, vlow, vup)
+                lo, hi = _measure_bounds(grid, vlow, vup, u)
+                v_lower[m, n - 1], v_upper[m, n - 1] = lo, hi
+            max_gap = max(max_gap, float(np.max(vup - vlow)))
+
+        for n in range(1, min(N, w_guard) + 1):
+            for m in range(0, min(M, w_guard) + 1):
+                w_cells[(m, n)] = w_mn(
+                    aux, m, n, u=u, resolution=res,
+                    theta_resolution=theta_resolution, guard=w_guard,
+                )
 
     infsup_lower = float(np.min(np.max(v_lower, axis=0)))
     infsup_upper = float(np.min(np.max(v_upper, axis=0)))
     supinf_lower = float(np.max(np.min(v_lower, axis=1)))
     supinf_upper = float(np.max(np.min(v_upper, axis=1)))
-
-    w_cells: dict[tuple[int, int], WValueResult] = {}
-    for n in range(1, min(N, w_guard) + 1):
-        for m in range(0, min(M, w_guard) + 1):
-            w_cells[(m, n)] = w_mn(
-                aux, m, n, u=u, resolution=res,
-                theta_resolution=theta_resolution, guard=w_guard,
-            )
 
     # window-truncation flags: the estimate is trustworthy only when the
     # inf over n has flattened and the sup over m has stopped climbing

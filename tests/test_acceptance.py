@@ -423,27 +423,20 @@ def test_criterion_9_single_controller_cross_check():
     aux = rg.auxiliary_game(spec)
 
     # independent oracle: enumerate stationary controller policies on the
-    # known-state game; the opponent best-responds stage by stage
-    unit = [spec.payoff[k] for k in range(2)]
-
-    def longrun(x):
-        P = np.zeros((2, 2))
-        r = np.zeros(2)
-        for k in range(2):
-            mix = np.array([1 - x[k], x[k]])
-            P[k] = mix @ kernel[k]
-            r[k] = min(float(mix @ unit[k][:, j]) for j in range(2))
-        dist = p0.copy()
-        acc = 0.0
-        horizon = 8192
-        for _ in range(horizon):
-            acc += float(dist @ r)
-            dist = dist @ P
-        return acc / horizon
-
-    oracle = max(
-        longrun([a, b]) for a in np.linspace(0, 1, 41) for b in np.linspace(0, 1, 41)
-    )
+    # known-state game; the opponent best-responds stage by stage. All 41^2
+    # policies x (the weight on action 1 in each state) step together.
+    grid = np.linspace(0, 1, 41)
+    x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    mix = np.stack([1 - x, x], axis=-1)  # (policies, K, I)
+    P = np.einsum("pki,kil->pkl", mix, kernel)
+    r = np.einsum("pki,kij->pkj", mix, spec.payoff).min(axis=-1)
+    dist = np.broadcast_to(p0, x.shape).copy()
+    acc = np.zeros(len(x))
+    horizon = 8192
+    for _ in range(horizon):
+        acc += np.einsum("pk,pk->p", dist, r)
+        dist = np.einsum("pk,pkl->pl", dist, P)
+    oracle = float(np.max(acc / horizon))
 
     rep = rg.uniform_value_estimate(aux, max_m=8, max_n=8, resolution=32, w_guard=0)
     point = (rep.supinf_upper + rep.infsup_lower) / 2

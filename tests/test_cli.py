@@ -210,6 +210,16 @@ def test_schema_violation_message(tmp_path, capsys):
     assert "missing top-level key" in capsys.readouterr().err
 
 
+def test_spec_entry_error_names_the_entry(am_spec_file, tmp_path, capsys):
+    doc = json.loads(open(am_spec_file).read())
+    del doc["initial"][1]["prob"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "initial[1] lacks key 'prob'" in err
+
+
 def test_simulate_wrong_strategy_files(am_spec_file, tmp_path):
     p2 = tmp_path / "p2.json"
     assert main(["strategy", am_spec_file, "--player", "2", "--n", "1",

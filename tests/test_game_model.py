@@ -371,6 +371,29 @@ class TestJsonInterface:
         with pytest.raises(SpecValidationError, match="unknown state"):
             rg.spec_from_json(doc)
 
+    @pytest.mark.parametrize("key", ["k", "c", "d", "prob"])
+    def test_initial_entry_missing_key_named(self, am_quadratic, key):
+        doc = rg.spec_to_json(am_quadratic)
+        del doc["initial"][1][key]
+        with pytest.raises(SpecValidationError, match=rf"^initial\[1\] lacks key '{key}'$"):
+            rg.spec_from_json(doc)
+
+    def test_transition_entry_missing_key_named(self, am_quadratic):
+        doc = rg.spec_to_json(am_quadratic)
+        key = next(iter(doc["transition"]))
+        del doc["transition"][key][0]["prob"]
+        with pytest.raises(
+            SpecValidationError, match=rf"^transition\['{key}'\]\[0\] lacks key 'prob'$"
+        ):
+            rg.spec_from_json(doc)
+
+    @pytest.mark.parametrize("prob", ["half", None, [0.5]])
+    def test_non_numeric_prob_named(self, am_quadratic, prob):
+        doc = rg.spec_to_json(am_quadratic)
+        doc["initial"][0]["prob"] = prob
+        with pytest.raises(SpecValidationError, match=r"^initial\[0\] has non-numeric prob"):
+            rg.spec_from_json(doc)
+
     def test_loader_enforces_probabilities(self, am_quadratic):
         doc = rg.spec_to_json(am_quadratic)
         doc["initial"][0]["prob"] = 0.2  # breaks normalization

@@ -16,7 +16,9 @@ from rgsolve.values import (
     theta_plus,
     theta_shift,
 )
-from rgsolve.values.engine import _sweep
+from rgsolve.lp import LPError
+from rgsolve.values import engine
+from rgsolve.values.engine import _measure_bounds, _sweep
 from rgsolve.values.grid import (
     _cav_env_dim2,
     concave_majorant,
@@ -373,6 +375,91 @@ class TestParallelSweeps:
         assert np.array_equal(seq.lower, par.lower)
         assert np.array_equal(seq.upper, par.upper)
         assert np.array_equal(seq.argmax, par.argmax)
+
+
+class TestSweepMemo:
+    """One uniform-value estimate shares its backward sweeps through a memo
+    keyed on each sweep's alpha tail; the memo lives only as long as the
+    outermost public call."""
+
+    window = dict(max_m=4, max_n=4, resolution=16, w_guard=2)
+
+    @staticmethod
+    def _games():
+        rng = np.random.default_rng(606)
+        return [random_informed_game(rng) for _ in range(2)]
+
+    @staticmethod
+    def _record_sweeps(monkeypatch) -> list:
+        """Wrap engine._sweep; the list collects each call's exact input."""
+        seen = []
+        inner = engine._sweep
+
+        def recording(aux, grid, alpha, vlow, vup):
+            seen.append((alpha, vlow.tobytes(), vup.tobytes()))
+            return inner(aux, grid, alpha, vlow, vup)
+
+        monkeypatch.setattr(engine, "_sweep", recording)
+        return seen
+
+    def test_window_equals_unshared_reference(self, monkeypatch):
+        seen = self._record_sweeps(monkeypatch)
+        grid = SimplexGrid.create(2, 16)
+        for spec in self._games():
+            seen.clear()
+            rep = rg.uniform_value_estimate(rg.auxiliary_game(spec), **self.window)
+            shared = list(seen)
+            seen.clear()
+            for n in range(1, 5):
+                aux = rg.auxiliary_game(spec)
+                vg = rg.value_theta_grid(aux, ThetaWeights.uniform(n), 16)
+                vlow, vup = vg.lower, vg.upper
+                column = [_measure_bounds(grid, vlow, vup, aux.pihat)]
+                for _ in range(4):
+                    vlow, vup, _, _ = engine._sweep(aux, grid, 0.0, vlow, vup)
+                    column.append(_measure_bounds(grid, vlow, vup, aux.pihat))
+                assert list(zip(rep.v_lower[:, n - 1], rep.v_upper[:, n - 1])) == column
+            assert len(rep.w_cells) == 6
+            for (m, n), cell in rep.w_cells.items():
+                alone = rg.w_mn(
+                    rg.auxiliary_game(spec), m, n, resolution=16, theta_resolution=2, guard=2
+                )
+                assert cell == alone
+            # each distinct input is swept once, and only the inputs the
+            # unshared calls need
+            assert len(shared) == len(set(shared))
+            assert set(shared) == set(seen)
+            assert len(seen) > len(shared)
+
+    def test_memo_dropped_on_return_and_on_error(self, monkeypatch):
+        aux = rg.auxiliary_game(self._games()[0])
+        rg.uniform_value_estimate(aux, max_m=2, max_n=2, resolution=8, w_guard=1)
+        assert aux not in engine._sweep_memos
+
+        inner = engine._sweep
+        calls = []
+
+        def failing(aux_, grid, alpha, vlow, vup):
+            calls.append(aux_ in engine._sweep_memos)
+            if len(calls) == 3:
+                raise LPError("forced failure")
+            return inner(aux_, grid, alpha, vlow, vup)
+
+        monkeypatch.setattr(engine, "_sweep", failing)
+        with pytest.raises(LPError, match="forced failure"):
+            rg.uniform_value_estimate(aux, max_m=2, max_n=2, resolution=8, w_guard=1)
+        assert calls == [True] * 3
+        assert aux not in engine._sweep_memos
+
+    def test_value_grid_arrays_read_only(self):
+        k1 = make_k1_spec(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        for spec in (self._games()[0], k1):
+            vg = rg.value_theta_grid(spec, ThetaWeights.uniform(3), resolution=8)
+            arrays = [vg.lower, vg.upper, vg.argmax, vg.opponent]
+            arrays += [a for rule in vg.stage_rules for a in (rule.argmax, rule.opponent)]
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                vg.lower[0] = 0.0
 
 
 class TestMonotonicityInvariant:
