@@ -78,7 +78,6 @@ from .values import (
     evaluate_measure,
     markov_strategy_of_play,
     play_of_markov_strategy,
-    stage_solve,
     theta_lift,
     theta_plus,
     theta_shift,

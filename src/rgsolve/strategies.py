@@ -1,10 +1,12 @@
 """Strategy extraction for both players, plus the concavification oracle.
 
-Player 1's rules come from the maximizing stacked actions stored during
-backward induction; player 2's from the minimizing mixtures of the upper
-stage LPs. Off-lattice beliefs fall back to the nearest lattice point in
-l1, so each extracted object reports a guarantee slack: certification gap
-plus the nonexpansiveness loss of the lookup.
+Player 1's finite-horizon rules come from the maximizing stacked actions
+stored during backward induction, and its long-run rules from one split of
+the belief onto the concave hull of the non-revealing value; player 2's
+from the minimizing mixtures of the upper stage LPs. Off-lattice beliefs
+fall back to the nearest lattice point in l1, so each extracted object
+reports a guarantee slack: certification gap plus the nonexpansiveness
+loss of the lookup.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .beliefs import splitting_action
+from .config import TOL
 from .game_model import AuxGame, RepeatedGameSpec, auxiliary_game
 from .lp import MatrixGameSolution, matrix_game_value
 from .values.engine import ValueGrid, default_resolution, value_theta_grid
@@ -21,11 +25,10 @@ from .values.grid import (
     SimplexGrid,
     eval_pieces,
     hull_pieces_1d,
-    lipschitz_lower,
+    hull_weights,
     nearest,
     upper_facets,
 )
-from .values.stage import stage_solve
 from .values.thetas import ThetaWeights, theta_shift
 
 
@@ -66,11 +69,12 @@ class MarkovStrategy1:
         return self.stage_actions[idx][nearest(self.stage_atoms[idx], p)]
 
     def _maintenance(self, p: np.ndarray) -> np.ndarray:
-        """The tail's rule, cached per belief rounded to 12 digits."""
-        beliefs = np.atleast_2d(np.asarray(p, float))
+        """The tail's rule, solved at the belief rounded to 12 digits and
+        cached under it, so beliefs that round alike get the same row
+        whatever the order of the calls."""
         out = []
-        for q, key in zip(beliefs, np.round(beliefs, 12)):
-            key = key.tobytes()
+        for q in np.round(np.atleast_2d(np.asarray(p, float)), 12):
+            key = q.tobytes()
             if key not in self._tail_cache:
                 row = _nonrevealing_game(q, self.payoff_tensor).row_strategy
                 self._tail_cache[key] = np.tile(row, (self.payoff_tensor.shape[0], 1))
@@ -239,41 +243,50 @@ def extract_p1_longrun(
 ) -> MarkovStrategy1:
     """Long-horizon informed-player strategy: position, then maintain.
 
-    The maintenance rule holds the non-revealing value of the current
-    belief forever (state-independent mixtures reveal nothing). The first
-    ``prep_stages`` rules spend payoff-free stages steering the belief
-    measure toward high maintenance levels: each is a one-stage control
-    step against the Lipschitz lower envelope of the tabulated
-    non-revealing value. For games where information only loses value the
-    steps reduce to staying put.
+    On fixed-state games the long-run value is cav u, the concave hull of
+    the non-revealing value u (Aumann and Maschler). The positioning rule
+    at a belief p splits it onto the lattice points of its best barycentric
+    combination of tabulated u values, each of which has u = cav u of the
+    lattice data; the maintenance tail then plays the non-revealing row,
+    which reveals nothing. Rules are built at every lattice point and at
+    every atom of the prior, and one table serves all ``prep_stages``
+    stages, since splitting again at a split point cannot raise cav u.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     res = resolution or default_resolution(aux.nK)
     grid = SimplexGrid.create(aux.nK, res)
     level = np.array([_nonrevealing_game(p, aux.payoff).value for p in grid.points])
-    rules = []
-    for _ in range(prep_stages):
-        cont = lambda measure: sum(
-            w * lipschitz_lower(grid, level, atom)
-            for atom, w in zip(measure.atoms, measure.weights)
-        )
-        actions = np.empty((grid.size, aux.nK, aux.nI))
-        new_level = np.empty(grid.size)
-        for g, p in enumerate(grid.points):
-            # small payoff weight breaks positioning ties toward earning
-            sol = stage_solve(aux, p, 0.05, cont, refine_iters=50)
-            actions[g] = sol.action
-            new_level[g] = (sol.value - 0.05 * aux.guaranteed_payoff(p, sol.action)) / 0.95
-        rules.append(actions)
-        level = new_level
-    rules.reverse()  # earliest positioning step first
+    atoms = np.unique(np.vstack([grid.points, aux.pihat.atoms]), axis=0)
+    rule = np.array([_split_or_stay(aux, grid, level, p) for p in atoms])
     return MarkovStrategy1(
-        stage_atoms=tuple(grid.points for _ in rules),
-        stage_actions=tuple(rules),
+        stage_atoms=tuple(atoms for _ in range(prep_stages)),
+        stage_actions=tuple(rule for _ in range(prep_stages)),
         slack=grid.covering_radius,
         payoff_tensor=aux.payoff,
         meta={"kind": "longrun-positioning", "prep_stages": prep_stages},
     )
+
+
+def _split_or_stay(
+    aux: AuxGame, grid: SimplexGrid, level: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Stacked action splitting p onto the support of its hull weights, with
+    component s played as pure action s in every state; the maintenance row
+    when the split has one point, has more points than player 1 has
+    actions, or is not what player 2's signals reveal."""
+    lam = hull_weights(grid, level, p)
+    support = np.flatnonzero(lam > TOL.structural)
+    if 2 <= support.size <= aux.nI:
+        points = grid.points[support]
+        weights = lam[support] / lam[support].sum()
+        pure = np.repeat(np.eye(aux.nI)[: support.size, None, :], aux.nK, axis=1)
+        a = splitting_action(p, list(zip(weights, points)), list(pure))
+        posteriors = aux.belief_step(p, a).atoms
+        if len(posteriors) == len(points) and all(
+            np.abs(posteriors - q).sum(axis=1).min() <= 1e-9 for q in points
+        ):
+            return a
+    return np.tile(_nonrevealing_game(p, aux.payoff).row_strategy, (aux.nK, 1))
 
 
 def build_p2_cyclic(

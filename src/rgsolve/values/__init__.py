@@ -16,12 +16,11 @@ from .engine import (
 from .exact import value_theta_exact
 from .grid import SimplexGrid, concave_majorant, lower_value, lipschitz_upper
 from .mdp import markov_strategy_of_play, play_of_markov_strategy
-from .stage import StageSolution, one_shot_lp, stage_solve
+from .stage import one_shot_lp
 from .thetas import ThetaWeights, suffix_chain, theta_lift, theta_plus, theta_shift
 
 __all__ = [
     "StageRule",
-    "StageSolution",
     "SimplexGrid",
     "ThetaWeights",
     "UniformValueReport",
@@ -35,7 +34,6 @@ __all__ = [
     "markov_strategy_of_play",
     "one_shot_lp",
     "play_of_markov_strategy",
-    "stage_solve",
     "suffix_chain",
     "theta_lift",
     "theta_plus",

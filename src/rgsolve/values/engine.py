@@ -3,10 +3,10 @@
 Each computed object carries lower and upper arrays over the lattice; the
 true value function is pinned between them. One backward sweep applies the
 one-stage operator to both envelopes (lower via barycentric interpolation,
-upper via a concave majorant), so the gap grows by at most the per-stage
-interpolation error, which is reported. A sweep hands all grid points to
-each stage operator at once. The ``jobs`` keyword of the public functions
-is accepted for compatibility and ignored.
+upper via a concave majorant) and clips both to the payoff range, so the
+gap grows by at most the per-stage interpolation error, which is reported.
+A sweep hands all grid points to each stage operator at once. The ``jobs``
+keyword of the public functions is accepted for compatibility and ignored.
 
 A sweep's output depends only on the game, the lattice and the alphas of
 the suffix chain from its stage inward, so sweeps are memoized on
@@ -97,8 +97,10 @@ def _sweep(
         raise RuntimeError(
             f"bound inversion at grid point {g}: lower {lo[g]} > upper {up[g]}"
         )
-    # guard LP noise at the 1e-9 scale
-    return np.minimum(lo, up), np.maximum(lo, up), argmax, opponent
+    # guard LP noise at the 1e-9 scale; every value lies in the payoff range
+    lo, up = np.minimum(lo, up), np.maximum(lo, up)
+    pay_lo, pay_hi = aux.payoff.min(), aux.payoff.max()
+    return np.clip(lo, pay_lo, pay_hi), np.clip(up, pay_lo, pay_hi), argmax, opponent
 
 
 # per game: {(resolution, alpha tail): (lower, upper, argmax, opponent)},

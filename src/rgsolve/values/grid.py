@@ -91,16 +91,24 @@ def lipschitz_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> flo
     return float(np.max(values - grid.l1_to(x)))
 
 
-def concave_comb_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
-    """Best barycentric lower bound: max sum lam_g values[g] over
-    decompositions of x into grid points (the concave hull at x)."""
+def hull_weights(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Weights lam >= 0 over the grid points with sum lam_g g = x that
+    maximize sum lam_g values[g]: the concave hull of the grid data at x.
+    The optimum is basic, so at most K weights are nonzero, and each point
+    they weight has values[g] equal to the hull there."""
     G = grid.size
     A_eq = np.vstack([grid.points.T, np.ones(G)])
     b_eq = np.concatenate([np.asarray(x, float), [1.0]])
     sol = solve_lp(values, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), maximize=True)
     if sol.status != "optimal":
         raise RuntimeError(f"barycentric interpolation LP failed: {sol.status}")
-    return float(sol.objective)
+    return sol.primal
+
+
+def concave_comb_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
+    """Best barycentric lower bound: max sum lam_g values[g] over
+    decompositions of x into grid points (the concave hull at x)."""
+    return float(np.asarray(values, float) @ hull_weights(grid, values, x))
 
 
 def lower_value(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:

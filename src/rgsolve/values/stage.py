@@ -19,25 +19,18 @@ mixture, and the optimizer is a playable stacked action.
 
 Upper-form LPs are assembled for many beliefs at once and solved as
 block-diagonal models of at most ``BLOCK`` beliefs each.
-
-For black-box continuations, ``stage_solve`` falls back to a coarse
-search over the product of action simplices with local refinement; its
-result is a guaranteed lower bound with a heuristic gap hint.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
 
-from ..game_model import AuxGame, auxiliary_game, RepeatedGameSpec
-from ..lp import LPError, matrix_game_value, solve_lp
+from ..game_model import AuxGame
+from ..lp import LPError, solve_lp
 from .grid import Pieces, SimplexGrid, hull_pieces_1d
 
 # most beliefs per HiGHS model: a resolution-64 grid is five models. HiGHS
@@ -213,110 +206,3 @@ def _dual_mixture(duals: np.ndarray, alpha: float) -> np.ndarray:
     if alpha <= 0.0:
         return np.full(duals.shape, 1.0 / nJ)
     return _clean_stacked(duals)
-
-
-# ---------------------------------------------------------------------------
-# Black-box stage solve: coarse product-simplex grid + local refinement
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StageSolution:
-    value: float
-    action: np.ndarray  # stacked mixed action
-    opponent: np.ndarray  # mixture over opposing pure actions
-    gap_hint: float  # heuristic optimality-gap indicator, not a certificate
-
-
-def stage_solve(
-    game: AuxGame | RepeatedGameSpec,
-    p: np.ndarray,
-    alpha: float,
-    continuation,
-    action_resolution: int = 4,
-    refine_iters: int = 200,
-) -> StageSolution:
-    """Maximize alpha * (guaranteed payoff) + (1 - alpha) * continuation
-    of the belief transition, over stacked mixed actions.
-
-    ``continuation`` maps a BeliefMeasure to a real number and is treated
-    as a black box; the returned value is the best found and is a valid
-    guarantee whenever the continuation is itself a lower bound.
-    """
-    aux = game if isinstance(game, AuxGame) else auxiliary_game(game)
-    p = np.asarray(p, dtype=float)
-    K, I, J = aux.nK, aux.nI, aux.nJ
-
-    def objective(a: np.ndarray) -> float:
-        val = alpha * aux.guaranteed_payoff(p, a) if alpha > 0.0 else 0.0
-        if alpha < 1.0:
-            val += (1.0 - alpha) * float(continuation(aux.belief_step(p, a)))
-        return val
-
-    per_state = SimplexGrid.create(I, action_resolution).points
-    best_val, best_a = -np.inf, None
-    candidates: list[tuple[float, np.ndarray]] = []
-    for combo in itertools.product(range(len(per_state)), repeat=K):
-        a = per_state[list(combo)]
-        val = objective(a)
-        candidates.append((val, a))
-        if val > best_val:
-            best_val, best_a = val, a
-
-    # local refinement from the best lattice point, on projected coordinates
-    def neg_obj(flat: np.ndarray) -> float:
-        return -objective(_project_rows(flat.reshape(K, I)))
-
-    res = minimize(
-        neg_obj,
-        best_a.ravel(),
-        method="Nelder-Mead",
-        options={"maxiter": refine_iters, "xatol": 1e-6, "fatol": 1e-10},
-    )
-    refined = _project_rows(res.x.reshape(K, I))
-    refined_val = objective(refined)
-    improvement = 0.0
-    if refined_val > best_val:
-        improvement = refined_val - best_val
-        best_val, best_a = refined_val, refined
-    candidates.append((refined_val, refined))
-
-    b_star = _opponent_from_candidates(aux, p, alpha, continuation, candidates, J)
-    lattice_gap = alpha * float(aux.payoff.max() - aux.payoff.min()) / action_resolution
-    return StageSolution(
-        value=best_val,
-        action=best_a,
-        opponent=b_star,
-        gap_hint=lattice_gap + improvement,
-    )
-
-
-def _project_rows(a: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    out = np.empty_like(a)
-    for r, row in enumerate(a):
-        srt = np.sort(row)[::-1]
-        css = np.cumsum(srt) - 1.0
-        idx = np.arange(1, len(row) + 1)
-        cond = srt - css / idx > 0
-        rho = idx[cond][-1]
-        theta = css[cond][-1] / rho
-        out[r] = np.clip(row - theta, 0.0, None)
-    return out
-
-
-def _opponent_from_candidates(aux, p, alpha, continuation, candidates, nJ) -> np.ndarray:
-    """Mixture over pure opposing actions from the sampled-row matrix game."""
-    if alpha <= 0.0:
-        return np.full(nJ, 1.0 / nJ)
-    ranked = sorted(candidates, key=lambda t: -t[0])[:32]
-    rows = []
-    for _, a in ranked:
-        cont = (
-            (1.0 - alpha) * float(continuation(aux.belief_step(p, a)))
-            if alpha < 1.0
-            else 0.0
-        )
-        rows.append(alpha * aux.gbar(p, a) + cont)
-    sol = matrix_game_value(np.array(rows))
-    return sol.col_strategy

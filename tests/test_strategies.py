@@ -1,12 +1,14 @@
 """Strategy extraction, serialization, and the concavification oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rgsolve as rg
-from rgsolve.strategies import MarkovStrategy1, extract_p1_longrun
+from rgsolve.strategies import MarkovStrategy1, _nonrevealing_game, extract_p1_longrun
 from rgsolve.values import SimplexGrid, ThetaWeights
-from rgsolve.values.grid import nearest
+from rgsolve.values.grid import concave_comb_lower, nearest
 
 from conftest import AM_MATRICES, make_k1_spec
 
@@ -36,6 +38,20 @@ class TestExtractP1:
         sigma = rg.extract_p1_markov(am_aux, n=2, resolution=16)
         a = sigma.stacked_action(99, np.array([0.5, 0.5]))
         assert np.abs(a[0] - a[1]).sum() <= 1e-9
+
+    def test_maintenance_row_ignores_call_order(self, am_aux):
+        # beliefs that differ in the last bit share one tail entry
+        p = np.array([0.3, 0.7])
+        q = np.array([np.nextafter(0.3, 1.0), 0.7])
+        rows = []
+        for order in ((p, q), (q, p)):
+            sigma = MarkovStrategy1(
+                stage_atoms=(), stage_actions=(), slack=0.0, payoff_tensor=am_aux.payoff
+            )
+            got = {b.tobytes(): sigma.stacked_action(1, b) for b in order}
+            rows.append([got[p.tobytes()], got[q.tobytes()]])
+        assert all(np.array_equal(a, b) for a, b in zip(rows[0], rows[1]))
+        assert np.array_equal(rows[0][0], rows[0][1])
 
     def test_long_run_trims_endgame(self, am_aux):
         full = rg.extract_p1_markov(am_aux, n=8, resolution=16)
@@ -224,6 +240,79 @@ class TestLongRunStrategy:
         )
         # the nonrevealing value at 1/2 is 1/4; allow sampling noise
         assert stats.mean >= 0.25 - 3 * stats.stderr - 0.02
+
+
+def _audit_am_game(seed: int) -> rg.AuxGame:
+    """The fixed-state game of the benchmark's audit workload for a seed."""
+    rng = np.random.default_rng([3, seed, 0])
+    mats = [rng.random((2, 2)), rng.random((2, 2))]
+    return rg.auxiliary_game(rg.build_aumann_maschler(mats, rng.dirichlet(np.ones(2))))
+
+
+def _lattice_level(aux, resolution):
+    grid = SimplexGrid.create(aux.nK, resolution)
+    return grid, np.array([_nonrevealing_game(p, aux.payoff).value for p in grid.points])
+
+
+def _maintenance_row(aux, p):
+    return np.tile(_nonrevealing_game(p, aux.payoff).row_strategy, (aux.nK, 1))
+
+
+class TestLongRunPositioning:
+    """The long-run rule splits each belief onto the hull of u in one stage."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_posteriors_are_lattice_points_on_the_hull(self, seed):
+        aux = _audit_am_game(seed)
+        grid, level = _lattice_level(aux, 32)
+        sigma = extract_p1_longrun(aux, prep_stages=2, resolution=32)
+        atoms = sigma.stage_atoms[0]
+        assert any(np.array_equal(a, aux.pihat.atoms[0]) for a in atoms)
+        for p, a in zip(atoms, sigma.stage_actions[0]):
+            for q in aux.belief_step(p, a).atoms:
+                g = grid.nearest_index(q)
+                assert np.abs(grid.points[g] - q).sum() <= 1e-9
+                assert level[g] == pytest.approx(
+                    concave_comb_lower(grid, level, grid.points[g]), abs=1e-9
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_step_value_is_the_hull(self, seed):
+        aux = _audit_am_game(seed)
+        grid, level = _lattice_level(aux, 32)
+        sigma = extract_p1_longrun(aux, prep_stages=2, resolution=32)
+        for p, a in zip(sigma.stage_atoms[0], sigma.stage_actions[0]):
+            step = aux.belief_step(p, a)
+            held = sum(
+                w * _nonrevealing_game(q, aux.payoff).value
+                for q, w in zip(step.atoms, step.weights)
+            )
+            assert held == pytest.approx(concave_comb_lower(grid, level, p), abs=1e-9)
+
+    def test_blind_signal_keeps_the_maintenance_row(self):
+        # u(p) = -p(1 - p) is convex, so every interior belief wants to split
+        mats = [np.array([[-1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, -1.0]])]
+        seen = rg.build_aumann_maschler(mats, np.array([0.4, 0.6]))
+        # player 2's signal merged into one: it ignores player 1's action
+        blind = dataclasses.replace(
+            seen,
+            signals2=("blind",),
+            initial=seen.initial.sum(axis=-1, keepdims=True),
+            transition=seen.transition.sum(axis=-1, keepdims=True),
+        )
+        for spec in (seen, blind):
+            aux = rg.auxiliary_game(spec)
+            sigma = extract_p1_longrun(aux, prep_stages=2, resolution=8)
+            atoms = sigma.stage_atoms[0]
+            stays = np.array([
+                [np.array_equal(a, _maintenance_row(aux, p)) for p, a in zip(atoms, rule)]
+                for rule in sigma.stage_actions
+            ])
+            if spec is seen:
+                # a player 2 who sees the action is split for at every interior belief
+                assert not stays[:, atoms.min(axis=1) > 0].any()
+            else:
+                assert stays.all()
 
 
 class TestGuaranteeSoundnessAtDesignHorizon:

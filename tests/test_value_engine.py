@@ -26,7 +26,7 @@ from rgsolve.values.grid import (
     lipschitz_upper,
     lower_value,
 )
-from rgsolve.values.stage import one_shot_lp, stage_solve
+from rgsolve.values.stage import one_shot_lp
 
 from conftest import make_k1_spec, random_informed_game
 
@@ -119,40 +119,6 @@ class TestGridInterpolation:
             assert eval_pieces(pieces, x) >= f(x) - 1e-9
 
 
-class TestStageSolve:
-    def test_one_shot_informed_value(self, am_aux):
-        sol = stage_solve(am_aux, np.array([0.5, 0.5]), 1.0, lambda u: 0.0)
-        assert sol.value == pytest.approx(0.5, abs=1e-6)
-
-    def test_alpha_zero_is_pure_control(self, am_aux):
-        # continuation rewards spread beliefs; a fully revealing action wins
-        cont = lambda u: float(sum(w * abs(a[0] - 0.5) for a, w in zip(u.atoms, u.weights)))
-        sol = stage_solve(am_aux, np.array([0.5, 0.5]), 0.0, cont)
-        assert sol.value == pytest.approx(0.5, abs=1e-6)
-
-    def test_single_state_matches_matrix_game(self):
-        spec = make_k1_spec(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        aux = rg.auxiliary_game(spec)
-        oracle = rg.matrix_game_value(spec.payoff[0]).value
-        sol = stage_solve(aux, np.array([1.0]), 0.6, lambda u: 0.25)
-        assert sol.value == pytest.approx(0.6 * oracle + 0.4 * 0.25, abs=1e-6)
-
-    def test_monotone_in_continuation(self, am_aux):
-        rng = np.random.default_rng(12)
-        p = np.array([0.5, 0.5])
-        for _ in range(5):
-            c1 = float(rng.random() * 0.5)
-            c2 = c1 + float(rng.random() * 0.4)
-            v1 = stage_solve(am_aux, p, 0.5, lambda u: c1).value
-            v2 = stage_solve(am_aux, p, 0.5, lambda u: c2).value
-            assert v2 >= v1 - 1e-9
-
-    def test_opponent_mixture_valid(self, am_aux):
-        sol = stage_solve(am_aux, np.array([0.25, 0.75]), 0.7, lambda u: 0.1)
-        assert sol.opponent.sum() == pytest.approx(1.0, abs=1e-8)
-        assert sol.opponent.min() >= -1e-12
-
-
 class TestValueGrid:
     def test_am_v1_exact_at_midpoint(self, am_aux):
         vg = rg.value_theta_grid(am_aux, ThetaWeights.dirac(1), resolution=64)
@@ -184,6 +150,13 @@ class TestValueGrid:
             assert (vg.lower <= vg.upper + 1e-9).all()
             assert (vg.lower >= -1e-9).all()
             assert (vg.upper <= 1 + 1e-9).all()
+
+    def test_three_state_bounds_stay_in_payoff_range(self):
+        aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(77), nK=3))
+        vg = rg.value_theta_grid(aux, ThetaWeights.uniform(4), resolution=8)
+        assert (vg.lower >= aux.payoff.min()).all()
+        assert (vg.upper <= aux.payoff.max()).all()
+        assert (vg.lower <= vg.upper).all()
 
     def test_concavity_midpoint_check(self, random_corpus):
         spec = random_corpus[4]
@@ -611,8 +584,10 @@ class TestBatchedSweep:
             pieces = concave_majorant(grid, vup)
             ref_lo = [_reference_lower(aux, p, alpha, grid, vlow) for p in grid.points]
             ref_up = [_reference_upper(aux, p, alpha, pieces) for p in grid.points]
-            assert np.abs(lo - np.minimum(ref_lo, ref_up)).max() <= 1e-9
-            assert np.abs(up - np.maximum(ref_lo, ref_up)).max() <= 1e-9
+            # the sweep clips both bounds to the payoff range
+            pay = aux.payoff.min(), aux.payoff.max()
+            assert np.abs(lo - np.clip(np.minimum(ref_lo, ref_up), *pay)).max() <= 1e-9
+            assert np.abs(up - np.clip(np.maximum(ref_lo, ref_up), *pay)).max() <= 1e-9
             for g, p in enumerate(grid.points):
                 assert _guarantee(aux, p, argmax[g], alpha, grid, vlow) >= lo[g] - 1e-9
             vlow, vup = lo, up
