@@ -345,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, grid=True):
         p.add_argument("spec", help="game spec JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument(
-            "--jobs", type=int, default=None,
-            help="ignored, kept for compatibility (so is env RGS_JOBS): sweeps run in one thread",
-        )
         if grid:
             p.add_argument("--grid", type=int, default=None, help="lattice resolution")
 

@@ -24,10 +24,9 @@ from .values.engine import ValueGrid, default_resolution, value_theta_grid
 from .values.grid import (
     SimplexGrid,
     eval_pieces,
-    hull_pieces_1d,
+    hull_pieces,
     hull_weights,
     nearest,
-    upper_facets,
 )
 from .values.thetas import ThetaWeights, theta_shift
 
@@ -383,13 +382,9 @@ def cavu_oracle(matrices: list[np.ndarray], resolution: int = 64) -> CavUOracle:
     u_vals = np.array([_nonrevealing_game(p, mats).value for p in grid.points])
     lip = float(np.abs(mats).max())
     rho = grid.covering_radius
-    if K <= 2:
-        pieces = hull_pieces_1d(grid.points, u_vals)
-    else:
-        pieces = upper_facets(grid.points, u_vals) or [(float(u_vals.max()), np.zeros(3))]
     return CavUOracle(
         points=grid.points,
         u_values=u_vals,
-        pieces=pieces,
+        pieces=hull_pieces(grid.points, u_vals),
         error_bound=lip * rho,
     )

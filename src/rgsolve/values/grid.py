@@ -9,20 +9,29 @@ envelopes:
   Lipschitz lower envelope max_g v[g] - d(x, g);
 * upper: pointwise, the Lipschitz upper envelope min_g v[g] + d(x, g);
   for optimization inside a stage step, a concave piecewise-linear
-  majorant of that envelope (its concave hull), which is the tightest
-  concave function consistent with the data.
+  majorant (``concave_majorant``).
+
+One routine, ``hull_pieces``, gives the exact upper concave hull of grid
+data for every K: a scan for K <= 2, and for K >= 3 qhull's upper facets
+(Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4), 1996), re-fitted through
+their lattice vertices and checked in numpy. The stage lower step uses
+the hull of the lower values as it is; the K >= 3 majorant raises the
+hull of the upper values by the l1 diameter of a lattice cell.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ..lp import solve_lp
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +144,14 @@ def concave_majorant(grid: SimplexGrid, upper_values: np.ndarray) -> Pieces:
     that is below ``upper_values`` at the grid points.
 
     For one- and two-state games this is exactly the concave hull of the
-    Lipschitz upper envelope. For more states it is the concave hull of
-    the grid graph lifted by a covering correction, which is valid but
-    looser (flagged by the engine's diagnostics).
+    Lipschitz upper envelope. For K >= 3 it is the concave hull H of the
+    grid data raised by 2 * floor(K / 2) / resolution, the l1 diameter of
+    a cell of the lattice's Freudenthal triangulation (the Lovejoy grid
+    bound, Oper. Res. 39(1), 1991): if x = sum_i lam_i g_i over the
+    vertices g_i of its cell, a 1-Lipschitz V below the data has
+    V(x) <= sum_i lam_i (v_i + |x - g_i|) <= H(x) + diam. Each hull piece
+    is also raised by the most any data point lies above it, so the bound
+    does not rest on qhull's rounding.
     """
     K = grid.dim
     vals = np.asarray(upper_values, float)
@@ -199,39 +213,56 @@ def hull_pieces_1d(points: np.ndarray, ys: np.ndarray) -> Pieces:
     return pieces
 
 
-def upper_facets(points: np.ndarray, vals: np.ndarray) -> Pieces:
-    """Affine pieces c + s . x of the upper facets of the convex hull of the
-    graph of ``vals`` over simplex ``points`` (K >= 3); empty when qhull
-    fails."""
+def hull_pieces(points: np.ndarray, vals: np.ndarray) -> Pieces:
+    """Exact upper concave hull of the graph of ``vals`` over (G, K)
+    simplex lattice ``points``, as pieces whose minimum is the hull.
+
+    K <= 2 reads ``hull_pieces_1d``. For K >= 3 each upper facet of qhull's
+    hull is re-fitted exactly through its K lattice vertices, and the
+    pieces are kept only when every data point lies on or below every piece
+    and the facets' projections fill the simplex (their volumes sum to its
+    volume); the minimum of the pieces is then the hull at every belief.
+    Affine data, which qhull rejects as flat, has one piece: the affine
+    function through the values at the simplex vertices. When qhull fails
+    otherwise or a check fails, that vertex-affine piece is returned too,
+    with a logged warning; it is a barycentric combination of the data, so
+    it stays below the hull.
+    """
+    points = np.asarray(points, float)
+    vals = np.asarray(vals, float)
     K = points.shape[1]
-    # hull in free coordinates: drop the last barycentric coordinate
-    coords = np.column_stack([points[:, : K - 1], vals])
+    if K <= 2:
+        return hull_pieces_1d(points, vals)
+    # piece m is x -> weights[m] . x, its values at the simplex vertices
+    vertex = vals[points.argmax(axis=0)]
+    weights, tiled = vertex[None, :], True
     try:
-        hull = ConvexHull(coords, qhull_options="QJ")
+        hull = ConvexHull(np.column_stack([points[:, : K - 1], vals]))
     except QhullError:
-        return []
-    pieces: Pieces = []
-    for eq in hull.equations:
-        normal, offset = eq[:-1], eq[-1]
-        nv = normal[-1]
-        # upper facets have outward normals pointing up in the value
-        # coordinate; near-vertical side walls would extend to wild affine
-        # functions, and dropping facets of a concave hull keeps validity
-        if nv <= 1e-6 * float(np.linalg.norm(normal)):
-            continue
-        s_free = -normal[:-1] / nv
-        c0 = -offset / nv
-        pieces.append((float(c0), np.concatenate([s_free, [0.0]])))
-    return pieces
+        pass  # flat data; the checks below accept the vertex-affine piece
+    else:
+        upper = hull.simplices[hull.equations[:, K - 1] > 0]
+        corners = points[upper]  # (F, K, K): rows are the facet's vertices
+        # |det| of a facet's barycentric corners is (K - 1)! times its
+        # projected volume, so the simplex's facets sum to 1; Qt may add
+        # facets of zero volume, which carry no piece (a lattice facet's
+        # |det| is at least resolution^-K)
+        dets = np.abs(np.linalg.det(corners))
+        keep = dets > 1e-12
+        weights = np.linalg.solve(corners[keep], vals[upper[keep]][..., None])[..., 0]
+        tiled = abs(dets[keep].sum() - 1.0) <= 1e-9
+    tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
+    if tiled and float((points @ weights.T - vals[:, None]).min()) >= -tol:
+        return [(0.0, w) for w in weights]
+    log.warning("hull check failed on %d points; using the vertex-affine piece", len(points))
+    return [(0.0, vertex)]
 
 
 def _hull_majorant_highdim(grid: SimplexGrid, vals: np.ndarray) -> Pieces:
-    rho = grid.covering_radius
-    pieces = upper_facets(grid.points, vals) if grid.size > grid.dim else []
-    if not pieces:
-        return [(float(vals.max()) + rho, np.zeros(grid.dim))]
-    lip = max((float(s.max()) - float(s.min())) / 2.0 for _, s in pieces)
-    # Concave data can bulge above the facet interpolation between grid
-    # points by at most (1 + Lip(hull)) * covering radius.
-    bump = (1.0 + lip) * rho
-    return [(c + bump, s) for c, s in pieces]
+    pieces = hull_pieces(grid.points, vals)
+    weights = np.array([c + s for c, s in pieces])
+    # lift each piece over the data it misses (qhull's rounding), then by
+    # the l1 diameter of a Freudenthal lattice cell
+    pad = np.maximum((vals[:, None] - grid.points @ weights.T).max(axis=0), 0.0)
+    diam = 2 * (grid.dim // 2) / grid.resolution
+    return [(c + float(d) + diam, s) for (c, s), d in zip(pieces, pad)]

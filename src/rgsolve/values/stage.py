@@ -12,10 +12,10 @@ mixture, and the optimizer is a playable stacked action.
 
 * upper: the continuation is a concave majorant of the upper values;
 * lower: the continuation of each posterior atom is its best barycentric
-  combination of grid lower values. For K <= 2 that is exactly the upper
-  hull of the lower values, so the lower step is the same upper-form LP
-  against the hull's pieces, and its optimum is a true guarantee. For
-  K >= 3 the barycentric LP itself is solved, one belief per model.
+  combination of grid lower values, which is exactly the upper concave
+  hull of the lower values (``grid.hull_pieces``, for every K). So the
+  lower step is the same upper-form LP against the hull's pieces, and its
+  optimum is a true guarantee.
 
 Upper-form LPs are assembled for many beliefs at once and solved as
 block-diagonal models of at most ``BLOCK`` beliefs each.
@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from ..game_model import AuxGame
 from ..lp import LPError, solve_lp
-from .grid import Pieces, SimplexGrid, hull_pieces_1d
+from .grid import Pieces, SimplexGrid, hull_pieces
 
 # most beliefs per HiGHS model: a resolution-64 grid is five models. HiGHS
 # memory grows with the model, by about 0.45 MB per belief on a six-signal
@@ -71,11 +71,7 @@ def stage_lower_lp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified lower Shapley step; returns per belief the value (P,) and
     the maximizing stacked action (P, K, I), whose value it guarantees."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if aux.nK >= 3:
-        parts = [_barycentric_lower(aux, p, alpha, grid, vlow) for p in points]
-        return np.array([v for v, _ in parts]), np.array([a for _, a in parts])
-    values, actions, _ = stage_upper_lp(aux, points, alpha, hull_pieces_1d(grid.points, vlow))
+    values, actions, _ = stage_upper_lp(aux, points, alpha, hull_pieces(grid.points, vlow))
     return values, actions
 
 
@@ -130,35 +126,6 @@ def _upper_form_model(aux, points, alpha, q_weights):
     x = sol.primal.reshape(B, nv)
     duals = sol.dual_ub.reshape(B, nr)[:, :J]
     return x @ c, _clean_stacked(x[:, :KI].reshape(B, K, I)), _dual_mixture(duals, alpha)
-
-
-def _barycentric_lower(aux, p, alpha, grid, vlow) -> tuple[float, np.ndarray]:
-    """Lower step at one belief for any K: jointly maximize over the stacked
-    action and, per signal, a nonnegative combination mu[d] of grid points
-    whose mass matches the signal column, valued at the grid lower values."""
-    K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
-    G, KI = grid.size, K * I
-    n = KI + 1 + D * G
-    c = np.concatenate([np.zeros(KI), [alpha], np.tile((1.0 - alpha) * vlow, D)])
-    A_ub = np.zeros((J, n))
-    A_ub[:, :KI] = -np.einsum("k,kij->jki", p, aux.payoff).reshape(J, KI)
-    A_ub[:, KI] = 1.0
-    # mass transport: sum_g mu[d, g] g[n] = column(d)[n], linear in a
-    A_eq = np.zeros((K + D * K, n))
-    A_eq[:K, :KI] = np.kron(np.eye(K), np.ones(I))
-    A_eq[K:, :KI] = -np.einsum("k,kind->dnki", p, aux.qbar).reshape(D * K, KI)
-    A_eq[K:, KI + 1 :] = np.kron(np.eye(D), grid.points.T)
-    b_eq = np.concatenate([np.ones(K), np.zeros(D * K)])
-    bounds = [(0, None)] * KI + [(0, 1)] + [(0, None)] * (D * G)
-    try:
-        sol = solve_lp(
-            c, A_ub=A_ub, b_ub=np.zeros(J), A_eq=A_eq, b_eq=b_eq, bounds=bounds, maximize=True
-        )
-        if sol.status != "optimal":
-            raise LPError(f"lower stage LP ended with status {sol.status}")
-    except LPError as exc:
-        raise _failed_at(alpha, p, exc) from exc
-    return float(sol.objective), _clean_stacked(sol.primal[:KI].reshape(K, I))
 
 
 def _failed_at(alpha: float, p: np.ndarray, exc: LPError) -> LPError:

@@ -231,13 +231,10 @@ def test_simulate_wrong_strategy_files(am_spec_file, tmp_path):
     assert code == 2
 
 
-def test_jobs_flag_and_env_are_ignored(am_spec_file, tmp_path, monkeypatch):
-    args = ["value", am_spec_file, "--n", "2", "--grid", "8", "--out"]
-    assert main(args + [str(tmp_path / "plain.csv")]) == 0
-    monkeypatch.setenv("RGS_JOBS", "3")
-    assert main(args + [str(tmp_path / "jobs.csv"), "--jobs", "4"]) == 0
-    plain = strip_timestamp((tmp_path / "plain.csv").read_text())
-    assert strip_timestamp((tmp_path / "jobs.csv").read_text()) == plain
+def test_jobs_flag_is_gone(am_spec_file, capsys):
+    # sweeps run in one thread; the flag that selected a thread pool is removed
+    assert main(["value", am_spec_file, "--n", "2", "--grid", "8", "--jobs", "4"]) == 2
+    assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
 def test_lp_failure_is_an_error_line(am_spec_file, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial import QhullError
 
 import rgsolve as rg
 from rgsolve.values import (
@@ -18,11 +19,14 @@ from rgsolve.values import (
 )
 from rgsolve.lp import LPError
 from rgsolve.values import engine
+from rgsolve.values import grid as grid_module
 from rgsolve.values.engine import _measure_bounds, _sweep
 from rgsolve.values.grid import (
     _cav_env_dim2,
+    concave_comb_lower,
     concave_majorant,
     eval_pieces,
+    hull_pieces,
     lipschitz_upper,
     lower_value,
 )
@@ -108,15 +112,107 @@ class TestGridInterpolation:
             x = np.array([x0, 1 - x0])
             assert eval_pieces(pieces, x) >= f(x) - 1e-9
 
-    def test_three_state_majorant_valid(self):
-        grid = SimplexGrid.create(3, 4)
-        f = lambda x: float(1 - max(x))  # concave, 1-Lipschitz in l1
+    @pytest.mark.parametrize("K", [3, 4])
+    @pytest.mark.parametrize(
+        "f",
+        # concave and 1-Lipschitz in l1
+        [lambda x: float(1 - max(x)), lambda x: float(1 - x @ x / 2)],
+        ids=["kinked", "smooth"],
+    )
+    def test_high_dim_majorant_valid(self, K, f):
+        grid = SimplexGrid.create(K, 4)
         vals = np.array([f(p) for p in grid.points])
         pieces = concave_majorant(grid, vals)
         rng = np.random.default_rng(6)
         for _ in range(50):
-            x = rng.dirichlet(np.ones(3))
+            x = rng.dirichlet(np.ones(K))
             assert eval_pieces(pieces, x) >= f(x) - 1e-9
+
+
+class TestHullPieces:
+    @pytest.mark.parametrize("kind", ["random", "concave", "affine"])
+    @pytest.mark.parametrize("K, resolution", [(3, 8), (4, 4)])
+    def test_hull_equals_barycentric_lp(self, K, resolution, kind, caplog):
+        rng = np.random.default_rng([K, ["random", "concave", "affine"].index(kind)])
+        grid = SimplexGrid.create(K, resolution)
+        if kind == "random":
+            vals = rng.random(grid.size)
+        elif kind == "concave":
+            # a minimum of affine functions: many coplanar data points
+            vals = (grid.points @ rng.random((K, 4))).min(axis=1)
+        else:
+            vals = grid.points @ rng.random(K)  # flat data, which qhull rejects
+        pieces = hull_pieces(grid.points, vals)
+        assert "hull check failed" not in caplog.text
+        weights = np.array([c + s for c, s in pieces])
+        assert (grid.points @ weights.T >= vals[:, None] - 1e-9).all()
+        for x in rng.dirichlet(np.ones(K), size=200):
+            assert abs(eval_pieces(pieces, x) - concave_comb_lower(grid, vals, x)) <= 1e-9
+
+    def test_failed_hull_falls_back_to_valid_pieces(self, monkeypatch, caplog):
+        def failing_hull(coords):
+            raise QhullError("precision error")
+
+        monkeypatch.setattr(grid_module, "ConvexHull", failing_hull)
+        lattice = SimplexGrid.create(3, 4)
+        f = lambda x: float(1 - x @ x / 2)  # concave, 1-Lipschitz in l1
+        vals = np.array([f(p) for p in lattice.points])
+        lower = hull_pieces(lattice.points, vals)
+        upper = concave_majorant(lattice, vals)
+        assert caplog.text.count("hull check failed") == 2
+        for x in np.random.default_rng(7).dirichlet(np.ones(3), size=50):
+            assert eval_pieces(lower, x) <= concave_comb_lower(lattice, vals, x) + 1e-9
+            assert eval_pieces(upper, x) >= f(x) - 1e-9
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_freudenthal_cell_diameter(self, K):
+        # cells of the lattice at resolution 4 in cumulative coordinates
+        # z_j = res * (x_1 + ... + x_j): a cube corner plus unit steps in
+        # some order, kept when 0 <= z_1 <= ... <= z_{K-1} <= res
+        res = 4
+        steps = np.eye(K - 1, dtype=int)
+        cells = []
+        for corner in itertools.product(range(res), repeat=K - 1):
+            for order in itertools.permutations(range(K - 1)):
+                z = np.cumsum(np.vstack([corner, steps[list(order)]]), axis=0)
+                if (np.diff(z, axis=1) >= 0).all():
+                    cells.append(np.diff(z, axis=1, prepend=0, append=res) / res)
+        cells = np.array(cells)  # (C, K, K): each cell's K simplex vertices
+        # each cell has 1/res^(K-1) of the simplex's volume, so they fill it
+        assert len(cells) == res ** (K - 1)
+        assert np.allclose(cells.sum(axis=2), 1.0) and (cells >= 0).all()
+        diam = np.abs(cells[:, :, None] - cells[:, None]).sum(axis=-1).max()
+        assert diam <= 2 * (K // 2) / res + 1e-12
+
+
+class TestThreeStateSoundness:
+    @pytest.fixture(scope="class")
+    def am_games(self):
+        rng = np.random.default_rng(303)
+        specs = [rg.build_aumann_maschler([rng.random((2, 2)) for _ in range(3)], np.full(3, 1 / 3))
+                 for _ in range(8)]
+        return [rg.auxiliary_game(spec) for spec in specs]
+
+    @pytest.mark.parametrize("resolution, max_gap", [(6, 0.5), (12, 0.25)])
+    def test_fixed_state_brackets(self, am_games, resolution, max_gap):
+        # v_4 lies between cav u (below every v_n) and v_1 (above every v_n)
+        for aux in am_games:
+            vg = rg.value_theta_grid(aux, ThetaWeights.uniform(4), resolution=resolution)
+            oracle = rg.cavu_oracle(list(aux.payoff), resolution=resolution)
+            cav = np.array([oracle.cav(p) for p in vg.grid.points])
+            assert (vg.upper >= cav - oracle.error_bound).all()
+            v1, _, _ = one_shot_lp(aux, vg.grid.points)
+            assert (vg.lower <= v1 + 1e-9).all()
+            assert vg.gap <= max_gap + 1e-9
+
+    def test_four_state_informed_game(self, caplog):
+        aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(404), nK=4))
+        # a bound inversion would raise
+        vg = rg.value_theta_grid(aux, ThetaWeights.uniform(4), resolution=4)
+        assert "hull check failed" not in caplog.text
+        assert (vg.lower <= vg.upper).all()
+        assert (vg.lower >= aux.payoff.min()).all()
+        assert (vg.upper <= aux.payoff.max()).all()
 
 
 class TestValueGrid:
@@ -565,12 +661,13 @@ class TestBatchedSweep:
             "informed": rg.auxiliary_game(random_informed_game(rng)),
             "chain": _revealed_chain(),
             "informed-k3": rg.auxiliary_game(random_informed_game(rng, nK=3)),
+            "informed-k4": rg.auxiliary_game(random_informed_game(rng, nK=4)),
         }
 
     @pytest.mark.parametrize(
         "kind, resolution",
         [("am", 16), ("am", 64), ("informed", 16), ("informed", 64),
-         ("chain", 16), ("chain", 64), ("informed-k3", 4)],
+         ("chain", 16), ("chain", 64), ("informed-k3", 4), ("informed-k4", 3)],
     )
     def test_sweeps_match_per_point_reference(self, games, kind, resolution):
         aux = games[kind]
