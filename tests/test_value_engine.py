@@ -112,12 +112,26 @@ class TestGridInterpolation:
             x = np.array([x0, 1 - x0])
             assert eval_pieces(pieces, x) >= f(x) - 1e-9
 
-    @pytest.mark.parametrize("K", [3, 4])
+    def test_three_state_majorant_valid(self):
+        grid = SimplexGrid.create(3, 4)
+        f = lambda x: float(1 - max(x))  # concave, 1-Lipschitz in l1
+        vals = np.array([f(p) for p in grid.points])
+        pieces = concave_majorant(grid, vals)
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            x = rng.dirichlet(np.ones(3))
+            assert eval_pieces(pieces, x) >= f(x) - 1e-9
+
+    # the K = 3 kinked case is test_three_state_majorant_valid above
     @pytest.mark.parametrize(
-        "f",
+        "K, f",
         # concave and 1-Lipschitz in l1
-        [lambda x: float(1 - max(x)), lambda x: float(1 - x @ x / 2)],
-        ids=["kinked", "smooth"],
+        [
+            (3, lambda x: float(1 - x @ x / 2)),
+            (4, lambda x: float(1 - max(x))),
+            (4, lambda x: float(1 - x @ x / 2)),
+        ],
+        ids=["K3-smooth", "K4-kinked", "K4-smooth"],
     )
     def test_high_dim_majorant_valid(self, K, f):
         grid = SimplexGrid.create(K, 4)
