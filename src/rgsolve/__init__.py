@@ -42,11 +42,9 @@ from .game_model import (
     validate_hb_prime,
 )
 from .lp import (
-    FeasibilityResult,
     LPError,
     LPSolution,
     MatrixGameSolution,
-    feasibility,
     matrix_game_value,
     solve_lp,
     transport_lp,

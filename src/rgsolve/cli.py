@@ -8,6 +8,7 @@ byte-identical apart from the timestamp field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -101,7 +102,8 @@ def _emit_csv(manifest: dict, header: list[str], rows: list, out) -> None:
 
 
 def _open_out(path: str | None):
-    return open(path, "w", newline="") if path else sys.stdout
+    # standard output stays open when the with-block ends
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _parse_theta(text: str) -> ThetaWeights:

@@ -1,4 +1,4 @@
-"""Linear-programming kernel: generic LP, matrix games, transport, feasibility.
+"""Linear-programming kernel: generic LP, matrix games, transport.
 
 Every solve goes through one thin seam over the HiGHS core bundled with
 scipy (``scipy.optimize._highspy._core``): ``solve_lp`` builds a column-wise
@@ -40,14 +40,6 @@ class MatrixGameSolution:
     value: float
     row_strategy: np.ndarray
     col_strategy: np.ndarray
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    point: np.ndarray | None
-    # Farkas-type separator: y with y @ A_eq row-combination proving emptiness
-    separator: np.ndarray | None = None
 
 
 _MS = _highs.HighsModelStatus
@@ -277,54 +269,3 @@ def transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> LP
         b_eq=b_eq[:-1],
         bounds=(0, None),
     )
-
-
-def feasibility(
-    A_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    A_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    n_vars: int | None = None,
-    bounds=(0, None),
-) -> FeasibilityResult:
-    """Decide feasibility of a linear system; on failure return a separator.
-
-    The separator is a vector y over the equality rows such that
-    y @ A_eq is (approximately) nonnegative on the feasible cone while
-    y @ b_eq < 0, i.e. a Farkas-type witness obtained from the dual.
-    """
-    if n_vars is None:
-        for mat in (A_eq, A_ub):
-            if mat is not None:
-                n_vars = np.asarray(mat).shape[1]
-                break
-    if n_vars is None:
-        return FeasibilityResult(feasible=True, point=np.zeros(0))
-    sol = solve_lp(
-        np.zeros(n_vars),
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-    )
-    if sol.status == "optimal":
-        return FeasibilityResult(feasible=True, point=sol.primal)
-    separator = None
-    if A_eq is not None:
-        separator = _farkas_separator(np.asarray(A_eq, float), np.asarray(b_eq, float))
-    return FeasibilityResult(feasible=False, point=None, separator=separator)
-
-
-def _farkas_separator(A_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
-    """Search y with A_eq^T y >= 0 (componentwise, x >= 0 cone) and b_eq @ y <= -1."""
-    m, n = A_eq.shape
-    sol = solve_lp(
-        b_eq,
-        A_ub=np.hstack([-A_eq.T]),
-        b_ub=np.zeros(n),
-        bounds=[(-1.0, 1.0)] * m,
-    )
-    if sol.status != "optimal" or sol.objective is None or sol.objective >= -TOL.feasibility:
-        return None
-    return sol.primal

@@ -361,7 +361,7 @@ class CavUOracle:
 
     points: np.ndarray  # (G, K)
     u_values: np.ndarray
-    pieces: list
+    pieces: np.ndarray  # (M, K): values at the simplex vertices
     error_bound: float
 
     def u(self, p: np.ndarray) -> float:

@@ -88,7 +88,7 @@ def _sweep(
         # thousands of sweeps, and two LPs per sweep make it ~70x slower
         v1, a, b = one_shot_lp(aux, grid.points)
         return alpha * v1 + (1 - alpha) * vlow, alpha * v1 + (1 - alpha) * vup, a, b
-    pieces = concave_majorant(grid, vup)
+    pieces = concave_majorant(grid.points, vup, grid.resolution)
     lo, argmax = stage_lower_lp(aux, grid.points, alpha, grid, vlow)
     up, _, opponent = stage_upper_lp(aux, grid.points, alpha, pieces)
     inverted = np.flatnonzero(up < lo - 1e-6)

@@ -8,10 +8,14 @@ lattice:
   a memoized one-shot proxy of the continuation), multi-started over the
   root candidates, and the best plan is evaluated exactly, so the bound
   is a true guarantee.
-* upper: the one-stage LP against a concave majorant assembled from
-  recursively computed upper values at a small anchor set (a coarse
-  lattice, the simplex vertices, the current point and the incumbent
-  posteriors), iterated so the majorant tightens around the maximizer.
+* upper: the one-stage LP against a concave majorant of recursively
+  computed upper values at a small anchor set (the lattice at
+  ``anchor_resolution``, the simplex vertices, the current point and the
+  incumbent posteriors), iterated so the majorant tightens around the
+  maximizer. The majorant is the grid engine's ``concave_majorant``; the
+  anchors contain its lattice, so the bound holds for every number of
+  states (for K >= 3 it is the anchors' concave hull raised by a lattice
+  cell's l1 diameter).
 
 Guarded by a maximum stage: the posterior tree grows with the horizon.
 """
@@ -23,7 +27,7 @@ import itertools
 import numpy as np
 
 from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
-from .grid import SimplexGrid, cav_pieces_from_points
+from .grid import SimplexGrid, concave_majorant
 from .stage import one_shot_lp, stage_upper_lp
 from .thetas import ThetaWeights, suffix_chain
 
@@ -54,6 +58,7 @@ class _TreeSolver:
         self.chain = suffix_chain(theta)
         self.root_candidates = _candidate_actions(aux.nK, aux.nI, action_resolution)
         self.deep_candidates = _candidate_actions(aux.nK, aux.nI, min(action_resolution, 2))
+        self.anchor_resolution = anchor_resolution
         self.anchors = SimplexGrid.create(aux.nK, anchor_resolution).points
         self.lower_memo: dict[tuple[int, bytes], float] = {}
         self.upper_memo: dict[tuple[int, bytes], float] = {}
@@ -145,7 +150,7 @@ class _TreeSolver:
                 vals = np.array(
                     [self.upper(level + 1, q) for q in anchor_pts]
                 )
-                pieces = cav_pieces_from_points(anchor_pts, vals)
+                pieces = concave_majorant(anchor_pts, vals, self.anchor_resolution)
                 bound, a_up, _ = stage_upper_lp(self.aux, p[None, :], alpha, pieces)
                 out = min(out, float(bound[0]))
                 new_atoms = self.aux.belief_step(p, a_up[0]).atoms

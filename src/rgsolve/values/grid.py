@@ -16,7 +16,11 @@ data for every K: a scan for K <= 2, and for K >= 3 qhull's upper facets
 (Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4), 1996), re-fitted through
 their lattice vertices and checked in numpy. The stage lower step uses
 the hull of the lower values as it is; the K >= 3 majorant raises the
-hull of the upper values by the l1 diameter of a lattice cell.
+hull of the upper values by the l1 diameter of a lattice cell. Both
+backends, the grid sweep and the tree, take their majorants from
+``concave_majorant``, and every concave piecewise-linear function has
+one format: the (M, K) array of its pieces' values at the simplex
+vertices.
 """
 
 from __future__ import annotations
@@ -128,51 +132,41 @@ def lower_value(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Concave piecewise-linear majorants: value = min over pieces of c + s . x
+# Concave piecewise-linear functions: an (M, K) array whose row m holds piece
+# m's values at the K simplex vertices, so the function at x is min(pieces @ x)
 # ---------------------------------------------------------------------------
 
-Pieces = list[tuple[float, np.ndarray]]
+
+def eval_pieces(pieces: np.ndarray, x: np.ndarray) -> float:
+    return float((pieces @ np.asarray(x, float)).min())
 
 
-def eval_pieces(pieces: Pieces, x: np.ndarray) -> float:
-    x = np.asarray(x, float)
-    return min(c + float(s @ x) for c, s in pieces)
-
-
-def concave_majorant(grid: SimplexGrid, upper_values: np.ndarray) -> Pieces:
+def concave_majorant(
+    points: np.ndarray, upper_values: np.ndarray, resolution: int
+) -> np.ndarray:
     """Concave PWL function dominating every concave nonexpansive function
-    that is below ``upper_values`` at the grid points.
+    that is below ``upper_values`` at the (G, K) simplex ``points``.
 
-    For one- and two-state games this is exactly the concave hull of the
-    Lipschitz upper envelope. For K >= 3 it is the concave hull H of the
-    grid data raised by 2 * floor(K / 2) / resolution, the l1 diameter of
-    a cell of the lattice's Freudenthal triangulation (the Lovejoy grid
-    bound, Oper. Res. 39(1), 1991): if x = sum_i lam_i g_i over the
-    vertices g_i of its cell, a 1-Lipschitz V below the data has
-    V(x) <= sum_i lam_i (v_i + |x - g_i|) <= H(x) + diam. Each hull piece
-    is also raised by the most any data point lies above it, so the bound
-    does not rest on qhull's rounding.
+    For one- and two-state simplices this is exactly the concave hull of the
+    Lipschitz upper envelope of the data, at any points. For K >= 3 the
+    bound holds when ``points`` contain the lattice at ``resolution``: it is
+    the concave hull H of the data raised by 2 * floor(K / 2) / resolution,
+    the l1 diameter of a cell of the lattice's Freudenthal triangulation
+    (the Lovejoy grid bound, Oper. Res. 39(1), 1991). If x = sum_i lam_i g_i
+    over the vertices g_i of its cell, a 1-Lipschitz V below the data has
+    V(x) <= sum_i lam_i (v_i + |x - g_i|) <= H_lattice(x) + diam, and the
+    hull over a superset of the lattice is at least H_lattice. Each hull
+    piece is raised by the most any data point lies above it, so it is a
+    plane above all the data and at least H, whatever qhull's rounding.
     """
-    K = grid.dim
-    vals = np.asarray(upper_values, float)
-    if K <= 2:
-        return cav_pieces_from_points(grid.points, vals)
-    return _hull_majorant_highdim(grid, vals)
-
-
-def cav_pieces_from_points(points: np.ndarray, values: np.ndarray) -> Pieces:
-    """Concave hull of the Lipschitz upper envelope of arbitrary sample
-    points with valid upper values; exact for one- and two-state simplices,
-    vacuous (constant) beyond that."""
     points = np.atleast_2d(np.asarray(points, float))
-    vals = np.asarray(values, float)
-    K = points.shape[1]
-    if K > 2:
-        return [(float(vals.max()) + 2.0, np.zeros(K))]
-    return _cav_env_dim2(points, vals)
+    vals = np.asarray(upper_values, float)
+    if points.shape[1] <= 2:
+        return _cav_env_dim2(points, vals)
+    return _hull_majorant_highdim(points, vals, resolution)
 
 
-def _cav_env_dim2(points: np.ndarray, vals: np.ndarray) -> Pieces:
+def _cav_env_dim2(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     xs = points[:, 0]
     # The envelope N(x) = min_g vals[g] + 2|x0 - g0| is piecewise linear in
     # x0; kinks sit at grid abscissae and at crossings of a rising branch
@@ -186,11 +180,11 @@ def _cav_env_dim2(points: np.ndarray, vals: np.ndarray) -> Pieces:
     return hull_pieces_1d(np.column_stack([cx, 1.0 - cx][: points.shape[1]]), cy)
 
 
-def hull_pieces_1d(points: np.ndarray, ys: np.ndarray) -> Pieces:
+def hull_pieces_1d(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Upper concave hull of the graph of ``ys`` over (G, K) points of a
-    simplex with K <= 2 states and distinct first coordinates, as pieces
-    c + s . x with s = (slope, 0); a single point gives one constant piece
-    with s = 0 of length K."""
+    simplex with K <= 2 states and distinct first coordinates, as (M, K)
+    pieces: the segment c + slope * x0 is the row (c + slope, c). A single
+    point gives one constant row of length K."""
     xs = points[:, 0]
     order = np.argsort(xs)
     hx: list[float] = []
@@ -204,21 +198,23 @@ def hull_pieces_1d(points: np.ndarray, ys: np.ndarray) -> Pieces:
             hy.pop()
         hx.append(x3)
         hy.append(y3)
-    pieces: Pieces = []
+    if len(hx) == 1:
+        return np.full((1, points.shape[1]), hy[0])
+    rows = []
     for x1, y1, x2, y2 in zip(hx[:-1], hy[:-1], hx[1:], hy[1:]):
         slope = (y2 - y1) / (x2 - x1)
-        pieces.append((float(y1 - slope * x1), np.array([slope, 0.0])))
-    if not pieces:
-        pieces.append((float(hy[0]), np.zeros(points.shape[1])))
-    return pieces
+        c = y1 - slope * x1
+        rows.append((c + slope, c))
+    return np.array(rows)
 
 
-def hull_pieces(points: np.ndarray, vals: np.ndarray) -> Pieces:
+def hull_pieces(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Exact upper concave hull of the graph of ``vals`` over (G, K)
-    simplex lattice ``points``, as pieces whose minimum is the hull.
+    simplex ``points`` (a lattice, perhaps with extra points), as (M, K)
+    pieces whose minimum is the hull.
 
     K <= 2 reads ``hull_pieces_1d``. For K >= 3 each upper facet of qhull's
-    hull is re-fitted exactly through its K lattice vertices, and the
+    hull is re-fitted exactly through its K vertices, and the
     pieces are kept only when every data point lies on or below every piece
     and the facets' projections fill the simplex (their volumes sum to its
     volume); the minimum of the pieces is then the hull at every belief.
@@ -233,9 +229,8 @@ def hull_pieces(points: np.ndarray, vals: np.ndarray) -> Pieces:
     K = points.shape[1]
     if K <= 2:
         return hull_pieces_1d(points, vals)
-    # piece m is x -> weights[m] . x, its values at the simplex vertices
-    vertex = vals[points.argmax(axis=0)]
-    weights, tiled = vertex[None, :], True
+    vertex = vals[points.argmax(axis=0)][None, :]
+    pieces, tiled = vertex, True
     try:
         hull = ConvexHull(np.column_stack([points[:, : K - 1], vals]))
     except QhullError:
@@ -249,20 +244,19 @@ def hull_pieces(points: np.ndarray, vals: np.ndarray) -> Pieces:
         # |det| is at least resolution^-K)
         dets = np.abs(np.linalg.det(corners))
         keep = dets > 1e-12
-        weights = np.linalg.solve(corners[keep], vals[upper[keep]][..., None])[..., 0]
+        pieces = np.linalg.solve(corners[keep], vals[upper[keep]][..., None])[..., 0]
         tiled = abs(dets[keep].sum() - 1.0) <= 1e-9
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    if tiled and float((points @ weights.T - vals[:, None]).min()) >= -tol:
-        return [(0.0, w) for w in weights]
+    if tiled and float((points @ pieces.T - vals[:, None]).min()) >= -tol:
+        return pieces
     log.warning("hull check failed on %d points; using the vertex-affine piece", len(points))
-    return [(0.0, vertex)]
+    return vertex
 
 
-def _hull_majorant_highdim(grid: SimplexGrid, vals: np.ndarray) -> Pieces:
-    pieces = hull_pieces(grid.points, vals)
-    weights = np.array([c + s for c, s in pieces])
+def _hull_majorant_highdim(points: np.ndarray, vals: np.ndarray, resolution: int) -> np.ndarray:
+    pieces = hull_pieces(points, vals)
     # lift each piece over the data it misses (qhull's rounding), then by
     # the l1 diameter of a Freudenthal lattice cell
-    pad = np.maximum((vals[:, None] - grid.points @ weights.T).max(axis=0), 0.0)
-    diam = 2 * (grid.dim // 2) / grid.resolution
-    return [(c + float(d) + diam, s) for (c, s), d in zip(pieces, pad)]
+    pad = np.maximum((vals[:, None] - points @ pieces.T).max(axis=0), 0.0)
+    diam = 2 * (points.shape[1] // 2) / resolution
+    return pieces + (pad + diam)[:, None]

@@ -3,7 +3,8 @@
 The stage problem at belief p blends the guaranteed stage payoff (weight
 alpha) with a continuation functional of the belief transition. Against a
 continuation represented by a concave piecewise-linear function
-min_m c_m + s_m . q, positive homogeneity makes its contribution through
+min_m w_m . q (``w_m``, a row of the (M, K) pieces, holds piece m's values
+at the simplex vertices), positive homogeneity makes its contribution through
 each signal column linear, so the step is one "upper-form" LP: maximize
 alpha * z + (1 - alpha) * sum_d t_d over stacked actions, with z below the
 expected payoff against every opposing action and t_d below every piece
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 
 from ..game_model import AuxGame
 from ..lp import LPError, solve_lp
-from .grid import Pieces, SimplexGrid, hull_pieces
+from .grid import SimplexGrid, hull_pieces
 
 # most beliefs per HiGHS model: a resolution-64 grid is five models. HiGHS
 # memory grows with the model, by about 0.45 MB per belief on a six-signal
@@ -43,19 +44,18 @@ def stage_upper_lp(
     aux: AuxGame,
     points: np.ndarray,
     alpha: float,
-    pieces: Pieces,
+    pieces: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified upper Shapley step against a concave PWL continuation majorant.
 
     ``points`` is a (P, K) array of beliefs. Returns per belief the value
     (P,), the maximizing stacked action of the relaxed game (P, K, I) and
-    the opponent mixture read from the payoff-row duals (P, J).
+    the opponent mixture read from the payoff-row duals (P, J). ``pieces``
+    is the (M, K) continuation: piece m applied to a signal column x is
+    pieces[m] @ x.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    # piece weights of each next state: piece m applied to a column
-    # x is sum_n (c_m + s_m[n]) x[n]
-    weights = np.array([cm + np.asarray(sm, dtype=float) for cm, sm in pieces])
-    q_weights = np.einsum("kind,mn->kidm", aux.qbar, weights)  # (K, I, D, M)
+    q_weights = np.einsum("kind,mn->kidm", aux.qbar, pieces)  # (K, I, D, M)
     blocks = np.array_split(points, -(-len(points) // BLOCK))
     parts = [_solve_upper_form(aux, block, alpha, q_weights) for block in blocks]
     values, actions, opponents = (np.concatenate(arrs) for arrs in zip(*parts))
@@ -148,8 +148,7 @@ def one_shot_lp(aux: AuxGame, points: np.ndarray):
     # a digest keeps the key small: the memo lives as long as the game
     key = (pts.shape, hashlib.blake2b(pts.tobytes(), digest_size=16).digest())
     if key not in store:
-        zero_pieces: Pieces = [(0.0, np.zeros(aux.nK))]
-        store[key] = stage_upper_lp(aux, pts, 1.0, zero_pieces)
+        store[key] = stage_upper_lp(aux, pts, 1.0, np.zeros((1, aux.nK)))
         for arr in store[key]:
             arr.flags.writeable = False
     values, actions, opponents = store[key]

@@ -198,6 +198,14 @@ def test_oracle_rejects_moving_state(tmp_path):
     assert code == 2
 
 
+def test_two_stdout_commands_in_one_process(am_spec_file, capsys):
+    # the first command must leave standard output open for the second
+    for _ in range(2):
+        assert main(["validate", am_spec_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["manifest"]["command"] == "validate"
+
+
 def test_unknown_subcommand_flag_exits_nonzero(am_spec_file):
     assert main(["value", am_spec_file, "--bogus"]) != 0
 

@@ -1,4 +1,4 @@
-"""LP kernel: the HiGHS seam, matrix games, transport, feasibility certificates."""
+"""LP kernel: the HiGHS seam, matrix games, transport."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from scipy.optimize._highspy import _core as highs_core
 
 from rgsolve.lp import (
     LPError,
-    feasibility,
     matrix_game_value,
     solve_lp,
     transport_lp,
@@ -117,17 +116,6 @@ def test_transport_split_example():
     cost = np.array([[1.0], [1.0]])
     sol = transport_lp(cost, np.array([0.5, 0.5]), np.array([1.0]))
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
-
-
-def test_feasibility_empty_and_contradictory():
-    res = feasibility(n_vars=2)
-    assert res.feasible
-    res = feasibility(
-        A_eq=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        b_eq=np.array([0.0, 1.0]),
-    )
-    assert not res.feasible
-    assert res.separator is not None
 
 
 def test_feasibility_strong_duality_gap():
@@ -251,6 +239,6 @@ def test_failed_stage_lp_names_alpha_and_belief(am_aux, monkeypatch):
     runs = _failing_presolve(monkeypatch, fail_always=True)
     points = np.array([[0.25, 0.75], [0.5, 0.5]])
     with pytest.raises(LPError, match=r"alpha=0\.5, belief \[0\.25, 0\.75\]"):
-        stage_upper_lp(am_aux, points, 0.5, [(0.5, np.zeros(2))])
+        stage_upper_lp(am_aux, points, 0.5, np.full((1, 2), 0.5))
     # the block model, then its first belief alone, each with and without presolve
     assert runs == ["on", "off", "on", "off"]

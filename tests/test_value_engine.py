@@ -96,7 +96,7 @@ class TestGridInterpolation:
         rng = np.random.default_rng(5)
         grid = SimplexGrid.create(2, 16)
         vals = rng.random(grid.size)
-        pieces = concave_majorant(grid, vals)
+        pieces = concave_majorant(grid.points, vals, grid.resolution)
         for pt, v in zip(grid.points, vals):
             assert eval_pieces(pieces, pt) >= min(
                 v, float(np.min(vals + grid.l1_to(pt)))
@@ -107,7 +107,7 @@ class TestGridInterpolation:
         grid = SimplexGrid.create(2, 8)
         f = lambda x: min(x[0], 1 - x[0]) * 2 * 0.9
         vals = np.array([f(p) + 0.01 for p in grid.points])
-        pieces = concave_majorant(grid, vals)
+        pieces = concave_majorant(grid.points, vals, grid.resolution)
         for x0 in np.linspace(0, 1, 101):
             x = np.array([x0, 1 - x0])
             assert eval_pieces(pieces, x) >= f(x) - 1e-9
@@ -116,7 +116,7 @@ class TestGridInterpolation:
         grid = SimplexGrid.create(3, 4)
         f = lambda x: float(1 - max(x))  # concave, 1-Lipschitz in l1
         vals = np.array([f(p) for p in grid.points])
-        pieces = concave_majorant(grid, vals)
+        pieces = concave_majorant(grid.points, vals, grid.resolution)
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.dirichlet(np.ones(3))
@@ -136,7 +136,7 @@ class TestGridInterpolation:
     def test_high_dim_majorant_valid(self, K, f):
         grid = SimplexGrid.create(K, 4)
         vals = np.array([f(p) for p in grid.points])
-        pieces = concave_majorant(grid, vals)
+        pieces = concave_majorant(grid.points, vals, grid.resolution)
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.dirichlet(np.ones(K))
@@ -158,8 +158,7 @@ class TestHullPieces:
             vals = grid.points @ rng.random(K)  # flat data, which qhull rejects
         pieces = hull_pieces(grid.points, vals)
         assert "hull check failed" not in caplog.text
-        weights = np.array([c + s for c, s in pieces])
-        assert (grid.points @ weights.T >= vals[:, None] - 1e-9).all()
+        assert (grid.points @ pieces.T >= vals[:, None] - 1e-9).all()
         for x in rng.dirichlet(np.ones(K), size=200):
             assert abs(eval_pieces(pieces, x) - concave_comb_lower(grid, vals, x)) <= 1e-9
 
@@ -172,7 +171,7 @@ class TestHullPieces:
         f = lambda x: float(1 - x @ x / 2)  # concave, 1-Lipschitz in l1
         vals = np.array([f(p) for p in lattice.points])
         lower = hull_pieces(lattice.points, vals)
-        upper = concave_majorant(lattice, vals)
+        upper = concave_majorant(lattice.points, vals, lattice.resolution)
         assert caplog.text.count("hull check failed") == 2
         for x in np.random.default_rng(7).dirichlet(np.ones(3), size=50):
             assert eval_pieces(lower, x) <= concave_comb_lower(lattice, vals, x) + 1e-9
@@ -218,6 +217,21 @@ class TestThreeStateSoundness:
             v1, _, _ = one_shot_lp(aux, vg.grid.points)
             assert (vg.lower <= v1 + 1e-9).all()
             assert vg.gap <= max_gap + 1e-9
+
+    @pytest.mark.parametrize("n, games", [(2, range(8)), (3, (0, 1))], ids=["uniform2", "uniform3"])
+    def test_tree_brackets_at_the_barycenter(self, am_games, n, games):
+        theta = ThetaWeights.uniform(n)
+        for g in games:
+            aux = am_games[g]
+            p = aux.pihat.weights @ aux.pihat.atoms
+            lo, hi = rg.value_theta_exact(aux, theta, p)
+            vg = rg.value_theta_grid(aux, theta, resolution=8)
+            grid_lo, grid_hi = rg.evaluate_measure(vg, aux.pihat)
+            assert lo <= grid_hi + 1e-9 and grid_lo <= hi + 1e-9
+            oracle = rg.cavu_oracle(list(aux.payoff), resolution=12)
+            assert hi >= oracle.cav(p) - oracle.error_bound
+            # the tree's K >= 3 majorant is not the constant bound 1
+            assert hi < 1.0
 
     def test_four_state_informed_game(self, caplog):
         aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(404), nK=4))
@@ -595,10 +609,10 @@ def _reference_upper(aux, p, alpha, pieces) -> float:
         rows.append(row)
     col_coeff = np.einsum("k,kind->dnki", p, aux.qbar)
     for d in range(D):
-        for cm, sm in pieces:
+        for w in pieces:
             row = np.zeros(n)
             row[KI + 1 + d] = 1.0
-            row[:KI] = -np.einsum("n,nki->ki", cm + sm, col_coeff[d]).ravel()
+            row[:KI] = -np.einsum("n,nki->ki", w, col_coeff[d]).ravel()
             rows.append(row)
     A_eq = np.zeros((K, n))
     for k in range(K):
@@ -687,12 +701,12 @@ class TestBatchedSweep:
         aux = games[kind]
         grid = SimplexGrid.create(aux.nK, resolution)
         vlow, _, _ = one_shot_lp(aux, grid.points)
-        reference = [_reference_upper(aux, p, 1.0, [(0.0, np.zeros(aux.nK))]) for p in grid.points]
+        reference = [_reference_upper(aux, p, 1.0, np.zeros((1, aux.nK))) for p in grid.points]
         assert np.abs(vlow - reference).max() <= 1e-9
         vlow, vup = vlow.copy(), vlow.copy()
         for alpha in (1 / 2, 1 / 3, 1 / 4, 0.0):
             lo, up, argmax, _ = _sweep(aux, grid, alpha, vlow, vup)
-            pieces = concave_majorant(grid, vup)
+            pieces = concave_majorant(grid.points, vup, grid.resolution)
             ref_lo = [_reference_lower(aux, p, alpha, grid, vlow) for p in grid.points]
             ref_up = [_reference_upper(aux, p, alpha, pieces) for p in grid.points]
             # the sweep clips both bounds to the payoff range
@@ -730,10 +744,11 @@ def _cav_env_dim2_scalar(points, vals):
     for a, b in zip(hull[:-1], hull[1:]):
         x1, y1, x2, y2 = cx[a], cy[a], cx[b], cy[b]
         slope = (y2 - y1) / (x2 - x1)
-        pieces.append((float(y1 - slope * x1), np.array([slope, 0.0])))
+        c = float(y1 - slope * x1)
+        pieces.append([c + slope, c])
     if not pieces:
-        pieces.append((float(cy[0]), np.zeros(points.shape[1])))
-    return pieces
+        return np.full((1, points.shape[1]), float(cy[0]))
+    return np.array(pieces)
 
 
 @pytest.mark.parametrize("resolution", [1, 4, 16, 64])
@@ -749,9 +764,7 @@ def test_cav_envelope_matches_scalar_loop_bitwise(resolution):
     for vals in samples:
         fast = _cav_env_dim2(grid.points, vals)
         slow = _cav_env_dim2_scalar(grid.points, vals)
-        assert len(fast) == len(slow)
-        for (c1, s1), (c2, s2) in zip(fast, slow):
-            assert c1 == c2 and np.array_equal(s1, s2)
+        assert np.array_equal(fast, slow)
 
 
 def test_cav_envelope_of_one_point_matches_scalar_loop():
@@ -759,6 +772,4 @@ def test_cav_envelope_of_one_point_matches_scalar_loop():
     for v in [0.0, 0.3, 1.0]:
         fast = _cav_env_dim2(points, np.array([v]))
         slow = _cav_env_dim2_scalar(points, np.array([v]))
-        assert len(fast) == len(slow) == 1
-        (c1, s1), (c2, s2) = fast[0], slow[0]
-        assert c1 == c2 == v and np.array_equal(s1, s2) and s1.shape == (1,)
+        assert np.array_equal(fast, slow) and fast.shape == (1, 1) and fast[0, 0] == v
