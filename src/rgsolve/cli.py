@@ -41,8 +41,8 @@ from .strategies import (
 from .values import (
     ThetaWeights,
     evaluate_measure,
-    theta_shift,
     uniform_value_estimate,
+    value_mn,
     value_theta_grid,
     w_mn,
 )
@@ -154,14 +154,13 @@ def cmd_value(args) -> int:
     spec = load_spec(args.spec)
     aux = auxiliary_game(spec)
     if args.theta:
-        theta = _parse_theta(args.theta)
+        vg = value_theta_grid(aux, _parse_theta(args.theta), args.grid)
         label = {"theta": args.theta}
     else:
         if args.n is None:
             raise CliError("provide --n or --theta")
-        theta = theta_shift(ThetaWeights.uniform(args.n), args.m)
+        vg = value_mn(aux, args.m, args.n, args.grid)
         label = {"m": args.m, "n": args.n}
-    vg = value_theta_grid(aux, theta, args.grid)
     lo, hi = evaluate_measure(vg, aux.pihat)
     config = {**label, "grid": vg.meta["resolution"]}
     manifest = _manifest("value", args.spec, config, started)

@@ -20,7 +20,7 @@ from .beliefs import splitting_action
 from .config import TOL
 from .game_model import AuxGame, RepeatedGameSpec, auxiliary_game
 from .lp import MatrixGameSolution, matrix_game_value
-from .values.engine import ValueGrid, default_resolution, value_theta_grid
+from .values.engine import ValueGrid, default_resolution, value_mn, value_theta_grid
 from .values.grid import (
     SimplexGrid,
     eval_pieces,
@@ -28,7 +28,7 @@ from .values.grid import (
     hull_weights,
     nearest,
 )
-from .values.thetas import ThetaWeights, theta_shift
+from .values.thetas import ThetaWeights
 
 
 def _nonrevealing_game(p: np.ndarray, payoff: np.ndarray) -> MatrixGameSolution:
@@ -329,7 +329,7 @@ def build_p2_growing(
     slack = 0.0
     for m in range(1, max_block + 1):
         offset = m * (m - 1) // 2
-        vg = value_theta_grid(aux, theta_shift(ThetaWeights.uniform(m), offset), resolution)
+        vg = value_mn(aux, offset, m, resolution)
         payoff_rules = vg.stage_rules[offset:]
         atoms = vg.grid.points
         block_atoms.append(tuple(atoms for _ in payoff_rules))

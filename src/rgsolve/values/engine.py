@@ -5,15 +5,17 @@ true value function is pinned between them. One backward sweep applies the
 one-stage operator to both envelopes (lower via barycentric interpolation,
 upper via a concave majorant) and clips both to the payoff range, so the
 gap grows by at most the per-stage interpolation error, which is reported.
-A sweep hands all grid points to each stage operator at once. The ``jobs``
-keyword of the public functions is accepted for compatibility and ignored.
+A sweep hands all grid points to each stage operator at once; the ``jobs``
+keyword of ``value_theta_grid`` and ``uniform_value_estimate`` is ignored.
 
 A sweep's output depends only on the game, the lattice and the alphas of
 the suffix chain from its stage inward, so sweeps are memoized on
-(resolution, exact alpha tail, outermost first). The memo belongs to the
-outermost of ``value_theta_grid``, ``w_mn`` and ``uniform_value_estimate``
-running on a game, is shared by the calls nested in it, and is dropped
-when that call returns or raises; its arrays are read-only.
+(resolution, exact alpha tail, outermost first). Shifts are exact, so the
+chain of v_{m,n} is m zero alphas on top of the chain of v_{0,n}. The memo
+belongs to the outermost of ``value_theta_grid``, ``w_mn`` and
+``uniform_value_estimate`` running on a game, is shared by the calls
+nested in it, and is dropped when that call returns or raises; its arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -61,17 +63,23 @@ class ValueGrid:
     grid: SimplexGrid
     lower: np.ndarray
     upper: np.ndarray
-    argmax: np.ndarray  # (G, K, I): optimizing stacked action at each point
-    opponent: np.ndarray  # (G, J)
     stage_rules: tuple[StageRule, ...]  # forward order: rules for stage 1, 2, ...
+    payoff_range: tuple[float, float]  # (min, max) payoff: every value lies in it
     meta: dict = field(default_factory=dict)
 
     @property
     def gap(self) -> float:
         return float(np.max(self.upper - self.lower))
 
-    def point_bounds(self, idx: int) -> tuple[float, float]:
-        return float(self.lower[idx]), float(self.upper[idx])
+    @property
+    def argmax(self) -> np.ndarray:
+        """(G, K, I): the stage-1 optimizing stacked action at each point."""
+        return self.stage_rules[0].argmax
+
+    @property
+    def opponent(self) -> np.ndarray:
+        """(G, J): player 2's stage-1 mixture at each point."""
+        return self.stage_rules[0].opponent
 
 
 def _sweep(
@@ -123,26 +131,6 @@ def _memo_scope(aux: AuxGame):
         _sweep_memos.pop(aux, None)
 
 
-def _memo_sweep(
-    memo: dict,
-    aux: AuxGame,
-    grid: SimplexGrid,
-    tail: tuple[float, ...],
-    vlow: np.ndarray,
-    vup: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_sweep`` at alpha ``tail[0]``, where (vlow, vup) are the bounds of
-    the suffix chain with alphas ``tail[1:]``."""
-    key = (grid.resolution, tail)
-    out = memo.get(key)
-    if out is None:
-        out = _sweep(aux, grid, tail[0], vlow, vup)
-        for arr in out:
-            arr.flags.writeable = False
-        memo[key] = out
-    return out
-
-
 def value_theta_grid(
     spec: RepeatedGameSpec | AuxGame,
     theta: ThetaWeights,
@@ -151,9 +139,9 @@ def value_theta_grid(
 ) -> ValueGrid:
     """Certified bounds for the theta-weighted game on the belief lattice.
 
-    ``jobs`` is accepted for compatibility and ignored: each sweep solves
-    its whole grid as a few block LPs in one thread. The returned arrays
-    are read-only.
+    ``jobs`` is accepted for compatibility and ignored, here and in
+    ``uniform_value_estimate``: each sweep solves its whole grid as a few
+    block LPs in one thread. The returned arrays are read-only.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     res = resolution or default_resolution(aux.nK)
@@ -167,7 +155,13 @@ def value_theta_grid(
     rules = [StageRule(alpha=alphas[-1], argmax=argmax, opponent=opponent)]
     with _memo_scope(aux) as memo:
         for idx in range(len(alphas) - 2, -1, -1):
-            vlow, vup, argmax, opponent = _memo_sweep(memo, aux, grid, alphas[idx:], vlow, vup)
+            key = (res, alphas[idx:])
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = _sweep(aux, grid, alphas[idx], vlow, vup)
+                for arr in out:
+                    arr.flags.writeable = False
+            vlow, vup, argmax, opponent = out
             rules.append(StageRule(alpha=alphas[idx], argmax=argmax, opponent=opponent))
     rules.reverse()  # rules[0] now belongs to stage 1
     gap = float(np.max(vup - vlow))
@@ -177,15 +171,14 @@ def value_theta_grid(
         grid=grid,
         lower=vlow,
         upper=vup,
-        argmax=rules[0].argmax,
-        opponent=rules[0].opponent,
         stage_rules=tuple(rules),
+        payoff_range=(float(aux.payoff.min()), float(aux.payoff.max())),
         meta={
             "theta": theta.as_map(),
             "resolution": res,
             "gap": gap,
             "states": aux.nK,
-            "certification": "tight" if aux.nK <= 2 else "loose-majorant",
+            "certification": "tight" if aux.nK <= 2 else "cell-diameter",
         },
     )
 
@@ -195,7 +188,6 @@ def value_mn(
     m: int,
     n: int,
     resolution: int | None = None,
-    jobs: int = 1,
 ) -> ValueGrid:
     """Bounds for the game averaging stages m+1 .. m+n."""
     if m < 0 or n < 1:
@@ -206,15 +198,21 @@ def value_mn(
 
 
 def evaluate_measure(vgrid: ValueGrid, u: BeliefMeasure) -> tuple[float, float]:
-    """Weight-averaged certified bounds of the affine extension at u."""
+    """Weight-averaged certified bounds of the affine extension at u, each
+    atom's bounds clipped to the payoff range."""
     if u.dim != vgrid.grid.dim:
         raise ValueError("measure lives on a different simplex")
-    return _measure_bounds(vgrid.grid, vgrid.lower, vgrid.upper, u)
+    return _measure_bounds(vgrid.grid, vgrid.lower, vgrid.upper, u, vgrid.payoff_range)
 
 
-def _measure_bounds(grid, vlow, vup, u: BeliefMeasure) -> tuple[float, float]:
-    lo = sum(w * lower_value(grid, vlow, a) for a, w in zip(u.atoms, u.weights))
-    hi = sum(w * lipschitz_upper(grid, vup, a) for a, w in zip(u.atoms, u.weights))
+def _measure_bounds(
+    grid, vlow, vup, u: BeliefMeasure, payoff_range=(-np.inf, np.inf)
+) -> tuple[float, float]:
+    pay_lo, pay_hi = payoff_range
+    lo = hi = 0.0
+    for a, w in zip(u.atoms, u.weights):
+        lo += w * min(max(lower_value(grid, vlow, a), pay_lo), pay_hi)
+        hi += w * min(max(lipschitz_upper(grid, vup, a), pay_lo), pay_hi)
     return float(lo), float(hi)
 
 
@@ -249,17 +247,16 @@ def w_mn(
     resolution: int | None = None,
     theta_resolution: int = 4,
     guard: int = 4,
-    jobs: int = 1,
-    refine: bool = True,
 ) -> WValueResult:
     """Best payoff securable on every prefix average between stages m+1
     and m+t, t <= n: the infimum over lifted evaluation measures.
 
-    Minimizes the certified bounds over a lattice of stage measures; the
-    lower bound subtracts the total-variation modulus of the value in the
-    evaluation measure (payoffs lie in [0, 1], so values move by at most
-    half the l1 distance between lifted measures, which the lift does not
-    expand).
+    Minimizes the certified bounds over a lattice of stage measures and
+    the upper bound also over the best one's neighbours on the doubled
+    lattice; the lower bound subtracts the total-variation modulus of the
+    value in the evaluation measure (payoffs lie in [0, 1], so values move
+    by at most half the l1 distance between lifted measures, which the lift
+    does not expand).
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     if n > guard:
@@ -278,7 +275,7 @@ def w_mn(
         best = min(evals, key=lambda t: t[2])
         theta_star, lo_star, up_star = best
         cover = 0.0 if n == 1 else (n - 1) / theta_resolution
-        if refine and n > 1:
+        if n > 1:
             for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
                 lo, up = bounds_for(th)
                 if up < up_star:
@@ -368,38 +365,26 @@ def uniform_value_estimate(
     values at the initial belief measure, and report the inf-sup / sup-inf
     estimates with all certificate slack aggregated.
 
-    Shifted columns are computed incrementally: the n-stage chain is built
-    once per n, then the payoff-free control operator is applied max_m
-    times, evaluating the measure after each application. Column n after
-    m applications is keyed in the sweep memo on the alpha tail
-    ``(0.0,) * m`` + the ``uniform(n)`` tail, so the w cells, whose lifted
-    chains end in the same tails, reuse those sweeps instead of repeating
-    them.
+    Cell (m, n) of the shifted table reads ``value_mn(m, n)``. Under one
+    sweep memo each cell adds one payoff-free sweep to cell (m - 1, n), and
+    the w cells, whose lifted chains end in the same tails, reuse them.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     if u is None:
         u = aux.pihat
     res = resolution or default_resolution(aux.nK)
-    grid = SimplexGrid.create(aux.nK, res)
 
     M, N = max_m, max_n
     v_lower = np.empty((M + 1, N))
     v_upper = np.empty((M + 1, N))
     max_gap = 0.0
     w_cells: dict[tuple[int, int], WValueResult] = {}
-    with _memo_scope(aux) as memo:
+    with _memo_scope(aux):
         for n in range(1, N + 1):
-            vg = value_theta_grid(aux, ThetaWeights.uniform(n), res)
-            vlow, vup = vg.lower, vg.upper
-            tail = tuple(rule.alpha for rule in vg.stage_rules)
-            lo, hi = _measure_bounds(grid, vlow, vup, u)
-            v_lower[0, n - 1], v_upper[0, n - 1] = lo, hi
-            for m in range(1, M + 1):
-                tail = (0.0,) + tail
-                vlow, vup, _, _ = _memo_sweep(memo, aux, grid, tail, vlow, vup)
-                lo, hi = _measure_bounds(grid, vlow, vup, u)
-                v_lower[m, n - 1], v_upper[m, n - 1] = lo, hi
-            max_gap = max(max_gap, float(np.max(vup - vlow)))
+            for m in range(M + 1):
+                vg = value_mn(aux, m, n, res)
+                v_lower[m, n - 1], v_upper[m, n - 1] = evaluate_measure(vg, u)
+            max_gap = max(max_gap, vg.gap)
 
         for n in range(1, min(N, w_guard) + 1):
             for m in range(0, min(M, w_guard) + 1):

@@ -62,8 +62,12 @@ class ThetaWeights:
 def theta_plus(theta: ThetaWeights) -> ThetaWeights:
     """Law of the selected stage minus one, conditioned on being at least 2.
 
-    By convention the measure concentrated on stage 1 is its own shift.
+    By convention the measure concentrated on stage 1 is its own shift. A
+    measure with no weight on stage 1 shifts exactly, weights untouched, so
+    ``theta_plus(theta_shift(theta, 1)) == theta``.
     """
+    if theta.stages[0] > 1:
+        return ThetaWeights(tuple(t - 1 for t in theta.stages), theta.weights)
     t1 = theta.first_weight
     if abs(t1 - 1.0) <= TOL.structural:
         return theta

@@ -64,6 +64,11 @@ class TestThetaCalculus:
         assert shifted.stages == (3, 4, 5)
         assert shifted.first_weight == 0.0
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_shift_then_plus_is_exact(self, n):
+        # no stage-1 weight: the support moves and the weights keep their bits
+        assert theta_plus(theta_shift(ThetaWeights.uniform(n), 1)) == ThetaWeights.uniform(n)
+
     def test_suffix_chain_length(self):
         chain = suffix_chain(theta_shift(ThetaWeights.uniform(3), 2))
         assert len(chain) == 5
@@ -232,6 +237,16 @@ class TestThreeStateSoundness:
             assert hi >= oracle.cav(p) - oracle.error_bound
             # the tree's K >= 3 majorant is not the constant bound 1
             assert hi < 1.0
+
+    def test_measure_bounds_stay_in_payoff_range(self, am_games):
+        # off-lattice atoms read the majorant's cell-diameter bump; the last
+        # game's uppers at the prior reached 1.033 and 1.158 before the clip
+        for aux in am_games:
+            for n in (2, 3):
+                vg = rg.value_theta_grid(aux, ThetaWeights.uniform(n), resolution=8)
+                assert vg.meta["certification"] == "cell-diameter"
+                lo, hi = rg.evaluate_measure(vg, aux.pihat)
+                assert aux.payoff.min() <= lo <= hi <= aux.payoff.max()
 
     def test_four_state_informed_game(self, caplog):
         aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(404), nK=4))
@@ -511,10 +526,10 @@ class TestSweepMemo:
                 aux = rg.auxiliary_game(spec)
                 vg = rg.value_theta_grid(aux, ThetaWeights.uniform(n), 16)
                 vlow, vup = vg.lower, vg.upper
-                column = [_measure_bounds(grid, vlow, vup, aux.pihat)]
+                column = [_measure_bounds(grid, vlow, vup, aux.pihat, vg.payoff_range)]
                 for _ in range(4):
                     vlow, vup, _, _ = engine._sweep(aux, grid, 0.0, vlow, vup)
-                    column.append(_measure_bounds(grid, vlow, vup, aux.pihat))
+                    column.append(_measure_bounds(grid, vlow, vup, aux.pihat, vg.payoff_range))
                 assert list(zip(rep.v_lower[:, n - 1], rep.v_upper[:, n - 1])) == column
             assert len(rep.w_cells) == 6
             for (m, n), cell in rep.w_cells.items():
@@ -527,6 +542,15 @@ class TestSweepMemo:
             assert len(shared) == len(set(shared))
             assert set(shared) == set(seen)
             assert len(seen) > len(shared)
+
+    def test_window_cells_are_value_mn(self):
+        # one path to v_{m,n}: the window's cells read value_mn bit for bit
+        aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(4)))
+        rep = rg.uniform_value_estimate(aux, max_m=2, max_n=8, resolution=16, w_guard=0)
+        for m in range(3):
+            for n in range(1, 9):
+                cell = rep.v_lower[m, n - 1], rep.v_upper[m, n - 1]
+                assert rg.evaluate_measure(rg.value_mn(aux, m, n, 16), aux.pihat) == cell
 
     def test_memo_dropped_on_return_and_on_error(self, monkeypatch):
         aux = rg.auxiliary_game(self._games()[0])
