@@ -82,13 +82,6 @@ class BeliefMeasure:
         """Integral of a function over the measure: sum_p u(p) f(p)."""
         return float(sum(w * f(a) for a, w in zip(self.atoms, self.weights)))
 
-    def mix(self, other: "BeliefMeasure", lam: float) -> "BeliefMeasure":
-        """Convex combination lam * self + (1 - lam) * other."""
-        return BeliefMeasure.from_support(
-            np.vstack([self.atoms, other.atoms]),
-            np.concatenate([lam * self.weights, (1 - lam) * other.weights]),
-        )
-
     def to_json(self) -> list[dict]:
         return [
             {"atom": a.tolist(), "weight": float(w)}

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -52,39 +51,19 @@ class CliError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    input_sha256: str | None
-    config: dict
-    tool_version: str
-    wall_time_s: float
-    timestamp: str
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_sha256": self.input_sha256,
-            "config": self.config,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-            "timestamp": self.timestamp,
-        }
-
-
 def _manifest(command: str, spec_path: str | None, config: dict, started: float) -> dict:
     digest = None
     if spec_path:
         with open(spec_path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-    return RunManifest(
-        command=command,
-        input_sha256=digest,
-        config=config,
-        tool_version=__version__,
-        wall_time_s=round(time.monotonic() - started, 6),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    ).as_dict()
+    return {
+        "command": command,
+        "input_sha256": digest,
+        "config": config,
+        "tool_version": __version__,
+        "wall_time_s": round(time.monotonic() - started, 6),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _emit_json(doc: dict, out) -> None:

@@ -264,33 +264,28 @@ def stage_payoff(spec: RepeatedGameSpec, p: np.ndarray, a: np.ndarray, b: np.nda
     return float(np.einsum("k,ki,j,kij->", p, a, b, spec.payoff))
 
 
-class _HBCache:
-    """Per-spec memo for the common (state, signal2) marginal; weak keys so
-    entries die with their spec instead of aliasing recycled addresses."""
-
-    def __init__(self):
-        self._store: "weakref.WeakKeyDictionary[RepeatedGameSpec, np.ndarray]" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    def qbar(self, spec: RepeatedGameSpec) -> np.ndarray:
-        if spec not in self._store:
-            report = validate_hb_prime(spec)
-            if not report.holds:
-                raise ValueError(
-                    "transition marginal undefined: player 2's action affects "
-                    f"the (state, signal2) law (violation {report.max_violation:.3e})"
-                )
-            self._store[spec] = report.witness["qbar"]
-        return self._store[spec]
+# per-spec memo for the common (state, signal2) marginal; weak keys so
+# entries die with their spec instead of aliasing recycled addresses
+_qbar_memo: "weakref.WeakKeyDictionary[RepeatedGameSpec, np.ndarray]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
-_hb_cache = _HBCache()
+def _qbar(spec: RepeatedGameSpec) -> np.ndarray:
+    if spec not in _qbar_memo:
+        report = validate_hb_prime(spec)
+        if not report.holds:
+            raise ValueError(
+                "transition marginal undefined: player 2's action affects "
+                f"the (state, signal2) law (violation {report.max_violation:.3e})"
+            )
+        _qbar_memo[spec] = report.witness["qbar"]
+    return _qbar_memo[spec]
 
 
 def transition_marginal(spec: RepeatedGameSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Law of (next state, signal2) at belief p under stacked action a."""
-    qbar = _hb_cache.qbar(spec)  # (K, I, K, D)
+    qbar = _qbar(spec)  # (K, I, K, D)
     p = check_belief(p, tol=1e-9)
     a = check_stacked(a, spec.nK, spec.nI)
     return np.einsum("k,ki,kind->nd", p, a, qbar)
@@ -630,7 +625,7 @@ def auxiliary_game(spec: RepeatedGameSpec) -> AuxGame:
         raise ValueError(
             f"player 1 is not informed (violation {ha.max_violation:.3e})"
         )
-    qbar = _hb_cache.qbar(spec)
+    qbar = _qbar(spec)
     return AuxGame(
         spec=spec,
         qbar=qbar,

@@ -104,7 +104,7 @@ def solve_lp(
         return LPSolution(status=_STATUS[status], objective=None, primal=None)
     solution = highs.getSolution()
     x = np.asarray(solution.col_value, dtype=float)
-    _verify_primal(x, A_ub, b_ub, A_eq, b_eq, bounds)
+    _verify_primal(x, A_ub, b_ub, A_eq, b_eq)
     # HiGHS reports multipliers of the solved (minimization) problem as
     # nonpositive for <= rows; negating yields the conventional y >= 0,
     # which carries over to maximization (solved as min of the negation).
@@ -176,7 +176,7 @@ def _csc_arrays(n: int, blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return start, row[order].astype(np.int32), val[order]
 
 
-def _verify_primal(x, A_ub, b_ub, A_eq, b_eq, bounds) -> None:
+def _verify_primal(x, A_ub, b_ub, A_eq, b_eq) -> None:
     tol = TOL.feasibility
     if A_ub is not None:
         r = _matvec(A_ub, x) - np.asarray(b_ub, dtype=float)

@@ -22,6 +22,7 @@ import numpy as np
 from .game_model import AuxGame, RepeatedGameSpec, auxiliary_game
 
 ADVERSARY_SUITE_VERSION = "v1"
+MAX_PURE_ADVERSARIES = 16  # state-indexed pure player-1 opponents in the suite
 
 
 @dataclass(frozen=True)
@@ -278,16 +279,13 @@ def adversary_suite_p2(aux: AuxGame, sigma) -> dict[str, object]:
     return suite
 
 
-def adversary_suite_p1(aux: AuxGame, tau, max_pure: int = 16) -> dict[str, object]:
-    """Opponents for auditing an uninformed-player strategy."""
+def adversary_suite_p1(aux: AuxGame, tau) -> dict[str, object]:
+    """Opponents for auditing an uninformed-player strategy: the first
+    ``MAX_PURE_ADVERSARIES`` state-indexed pure actions among them."""
     suite: dict[str, object] = {"uniform": UniformP1(aux.nK, aux.nI)}
-    count = 0
-    for combo in itertools.product(range(aux.nI), repeat=aux.nK):
-        name = "pure-" + "".join(str(i) for i in combo)
-        suite[name] = PureP1(aux.nI, combo)
-        count += 1
-        if count >= max_pure:
-            break
+    combos = itertools.product(range(aux.nI), repeat=aux.nK)
+    for combo in itertools.islice(combos, MAX_PURE_ADVERSARIES):
+        suite["pure-" + "".join(str(i) for i in combo)] = PureP1(aux.nI, combo)
     suite["myopic"] = MyopicP1(aux, tau)
     return suite
 
@@ -329,21 +327,17 @@ def guarantee_check(
     horizons: list[int],
     config: PlayoutConfig,
     player: int = 1,
-    adversaries: dict[str, object] | None = None,
 ) -> GuaranteeReport:
-    """Audit a guarantee claim against the adversary suite.
+    """Audit a guarantee claim against the player's adversary suite.
 
     Player-1 mode asserts mean >= target - epsilon - CI for every
     adversary and horizon; player-2 mode asserts mean <= target + epsilon
     + CI. Sampling-based: a pass is an audit, not a proof.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    if adversaries is None:
-        adversaries = (
-            adversary_suite_p2(aux, strategy)
-            if player == 1
-            else adversary_suite_p1(aux, strategy)
-        )
+    adversaries = (
+        adversary_suite_p2(aux, strategy) if player == 1 else adversary_suite_p1(aux, strategy)
+    )
     rows = []
     all_ok = True
     for name, adv in adversaries.items():

@@ -199,15 +199,31 @@ def _strategy_slack(vg: ValueGrid) -> float:
     return vg.gap + vg.grid.covering_radius
 
 
+def _horizon_grid(
+    aux: AuxGame, n: int | None, resolution: int | None, vgrid: ValueGrid | None
+) -> ValueGrid:
+    """The given value grid, checked against the horizon n when both are
+    given, or the uniform(n) grid at ``resolution``."""
+    if vgrid is None:
+        if n is None:
+            raise ValueError("provide a horizon or a value grid")
+        return value_theta_grid(aux, ThetaWeights.uniform(n), resolution)
+    if n is not None and len(vgrid.stage_rules) != n:
+        raise ValueError(
+            f"value grid has {len(vgrid.stage_rules)} stage rules, not the horizon {n}"
+        )
+    return vgrid
+
+
 def extract_p1_markov(
     spec: RepeatedGameSpec | AuxGame,
     n: int | None = None,
-    theta: ThetaWeights | None = None,
     resolution: int | None = None,
     vgrid: ValueGrid | None = None,
     long_run: bool = False,
 ) -> MarkovStrategy1:
-    """Informed-player rules from the backward-induction argmax tables.
+    """Informed-player rules from the backward-induction argmax tables of
+    ``vgrid``, or of the uniform(n) grid when no grid is given.
 
     ``long_run`` trims the endgame rules (stages whose remaining weight is
     at least half on the current stage, which spend information myopically)
@@ -215,12 +231,7 @@ def extract_p1_markov(
     beyond the extraction horizon.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    if vgrid is None:
-        if theta is None:
-            if n is None:
-                raise ValueError("provide a horizon, a stage measure, or a value grid")
-            theta = ThetaWeights.uniform(n)
-        vgrid = value_theta_grid(aux, theta, resolution)
+    vgrid = _horizon_grid(aux, n, resolution, vgrid)
     atoms = vgrid.grid.points
     rules = vgrid.stage_rules
     if long_run:
@@ -299,11 +310,11 @@ def build_p2_cyclic(
     The payoff-stage rules of any shifted n-stage game coincide, so the
     cycle is simultaneously optimal (up to certification slack) in every
     block-aligned shifted game; the guarantee at horizons divisible by n
-    is the windowed sup over shifts of the shifted values.
+    is the windowed sup over shifts of the shifted values. A given
+    ``vgrid`` must have n stage rules.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    if vgrid is None:
-        vgrid = value_theta_grid(aux, ThetaWeights.uniform(n), resolution)
+    vgrid = _horizon_grid(aux, n, resolution, vgrid)
     atoms = vgrid.grid.points
     rules = vgrid.stage_rules
     return BlockStrategy2(

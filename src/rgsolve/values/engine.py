@@ -41,6 +41,8 @@ from .thetas import ThetaWeights, suffix_chain, theta_lift, theta_shift
 log = logging.getLogger(__name__)
 
 DEFAULT_RESOLUTION = {1: 1, 2: 32, 3: 16}
+# resolution of the stage-measure lattice behind the window's w cells
+WINDOW_THETA_RESOLUTION = 2
 
 
 def default_resolution(nK: int) -> int:
@@ -358,7 +360,6 @@ def uniform_value_estimate(
     resolution: int | None = None,
     u: BeliefMeasure | None = None,
     w_guard: int = 3,
-    theta_resolution: int = 2,
     jobs: int = 1,
 ) -> UniformValueReport:
     """Fill the windowed tables of shifted values and prefix-guarantee
@@ -368,6 +369,8 @@ def uniform_value_estimate(
     Cell (m, n) of the shifted table reads ``value_mn(m, n)``. Under one
     sweep memo each cell adds one payoff-free sweep to cell (m - 1, n), and
     the w cells, whose lifted chains end in the same tails, reuse them.
+    The w cells search stage measures on the lattice at
+    ``WINDOW_THETA_RESOLUTION``.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     if u is None:
@@ -390,7 +393,7 @@ def uniform_value_estimate(
             for m in range(0, min(M, w_guard) + 1):
                 w_cells[(m, n)] = w_mn(
                     aux, m, n, u=u, resolution=res,
-                    theta_resolution=theta_resolution, guard=w_guard,
+                    theta_resolution=WINDOW_THETA_RESOLUTION, guard=w_guard,
                 )
 
     infsup_lower = float(np.min(np.max(v_lower, axis=0)))
@@ -419,7 +422,7 @@ def uniform_value_estimate(
         diagnostics={
             "grid_resolution": res,
             "max_cell_gap": max_gap,
-            "theta_resolution": theta_resolution,
+            "theta_resolution": WINDOW_THETA_RESOLUTION,
             "window_too_small": window_small,
         },
     )

@@ -10,13 +10,14 @@ lattice:
   is a true guarantee.
 * upper: the one-stage LP against a concave majorant of recursively
   computed upper values at a small anchor set (the lattice at
-  ``anchor_resolution``, the simplex vertices, the current point and the
+  ``ANCHOR_RESOLUTION``, the simplex vertices, the current point and the
   incumbent posteriors), iterated so the majorant tightens around the
   maximizer. The majorant is the grid engine's ``concave_majorant``; the
   anchors contain its lattice, so the bound holds for every number of
   states (for K >= 3 it is the anchors' concave hull raised by a lattice
   cell's l1 diameter).
 
+Both bounds are clipped to the payoff range, as the grid sweep's are.
 Guarded by a maximum stage: the posterior tree grows with the horizon.
 """
 
@@ -30,6 +31,10 @@ from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
 from .grid import SimplexGrid, concave_majorant
 from .stage import one_shot_lp, stage_upper_lp
 from .thetas import ThetaWeights, suffix_chain
+
+MAX_STAGE_GUARD = 4  # deepest stage an evaluation measure may charge
+ACTION_RESOLUTION = 4  # lattice of per-state mixtures tried at the root
+ANCHOR_RESOLUTION = 8  # lattice the upper majorant is anchored on
 
 
 def _candidate_actions(nK: int, nI: int, resolution: int) -> np.ndarray:
@@ -47,19 +52,13 @@ def _candidate_actions(nK: int, nI: int, resolution: int) -> np.ndarray:
 
 
 class _TreeSolver:
-    def __init__(
-        self,
-        aux: AuxGame,
-        theta: ThetaWeights,
-        action_resolution: int,
-        anchor_resolution: int,
-    ):
+    def __init__(self, aux: AuxGame, theta: ThetaWeights):
         self.aux = aux
         self.chain = suffix_chain(theta)
-        self.root_candidates = _candidate_actions(aux.nK, aux.nI, action_resolution)
-        self.deep_candidates = _candidate_actions(aux.nK, aux.nI, min(action_resolution, 2))
-        self.anchor_resolution = anchor_resolution
-        self.anchors = SimplexGrid.create(aux.nK, anchor_resolution).points
+        self.root_candidates = _candidate_actions(aux.nK, aux.nI, ACTION_RESOLUTION)
+        self.deep_candidates = _candidate_actions(aux.nK, aux.nI, min(ACTION_RESOLUTION, 2))
+        self.anchors = SimplexGrid.create(aux.nK, ANCHOR_RESOLUTION).points
+        self.pay_lo, self.pay_hi = float(aux.payoff.min()), float(aux.payoff.max())
         self.lower_memo: dict[tuple[int, bytes], float] = {}
         self.upper_memo: dict[tuple[int, bytes], float] = {}
 
@@ -150,7 +149,7 @@ class _TreeSolver:
                 vals = np.array(
                     [self.upper(level + 1, q) for q in anchor_pts]
                 )
-                pieces = concave_majorant(anchor_pts, vals, self.anchor_resolution)
+                pieces = concave_majorant(anchor_pts, vals, ANCHOR_RESOLUTION)
                 bound, a_up, _ = stage_upper_lp(self.aux, p[None, :], alpha, pieces)
                 out = min(out, float(bound[0]))
                 new_atoms = self.aux.belief_step(p, a_up[0]).atoms
@@ -160,7 +159,7 @@ class _TreeSolver:
                 if merged.shape[0] == anchor_pts.shape[0]:
                     break
                 anchor_pts = merged
-            out = min(1.0, float(out))
+            out = min(max(float(out), self.pay_lo), self.pay_hi)
         self.upper_memo[key] = out
         return out
 
@@ -169,23 +168,22 @@ def value_theta_exact(
     spec: RepeatedGameSpec | AuxGame,
     theta: ThetaWeights,
     p: np.ndarray,
-    max_stage_guard: int = 4,
-    action_resolution: int = 4,
-    anchor_resolution: int = 8,
 ) -> tuple[float, float]:
     """Bracketing bounds for the theta-weighted value at a single belief.
 
-    Raises when the evaluation measure charges stages beyond the guard.
+    Raises when the evaluation measure charges stages beyond
+    ``MAX_STAGE_GUARD``.
     """
-    if theta.max_stage > max_stage_guard:
+    if theta.max_stage > MAX_STAGE_GUARD:
         raise ValueError(
             f"evaluation measure reaches stage {theta.max_stage}, "
-            f"beyond the tree guard {max_stage_guard}"
+            f"beyond the tree guard {MAX_STAGE_GUARD}"
         )
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    solver = _TreeSolver(aux, theta, action_resolution, anchor_resolution)
+    solver = _TreeSolver(aux, theta)
     p = np.asarray(p, float)
     lower, best_a = solver.lower(p)
+    lower = min(max(lower, solver.pay_lo), solver.pay_hi)
     upper = solver.upper(0, p, hint_action=best_a)
     if upper < lower - 1e-6:
         raise RuntimeError(f"tree backend bound inversion: {lower} > {upper}")

@@ -5,11 +5,15 @@ l1 ground distance, so grid values bracket them between two computable
 envelopes:
 
 * lower: the concave hull of the grid lower values (any barycentric
-  combination of grid points is a valid lower bound), combined with the
-  Lipschitz lower envelope max_g v[g] - d(x, g);
+  combination of grid points is a valid lower bound);
 * upper: pointwise, the Lipschitz upper envelope min_g v[g] + d(x, g);
   for optimization inside a stage step, a concave piecewise-linear
   majorant (``concave_majorant``).
+
+On data that is 1-Lipschitz in l1, as sweep output is, the Lipschitz lower
+envelope max_g v[g] - d(x, g) adds nothing to the hull: d(x, g) is affine
+on each lattice cell, so the combination of x's cell vertices already
+reaches v[g] - d(x, g). The lower interpolation is the hull alone.
 
 One routine, ``hull_pieces``, gives the exact upper concave hull of grid
 data for every K: a scan for K <= 2, and for K >= 3 qhull's upper facets
@@ -83,9 +87,6 @@ class SimplexGrid:
     def l1_to(self, x: np.ndarray) -> np.ndarray:
         return np.abs(self.points - np.asarray(x, float)).sum(axis=1)
 
-    def nearest_index(self, x: np.ndarray) -> int:
-        return nearest(self.points, x)
-
 
 def nearest(atoms: np.ndarray, p: np.ndarray):
     """Row of ``atoms`` closest to the belief p in l1; on a tie, the lower
@@ -98,10 +99,6 @@ def nearest(atoms: np.ndarray, p: np.ndarray):
 def lipschitz_upper(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
     """min_g values[g] + d(x, g): valid above any 1-Lipschitz function."""
     return float(np.min(values + grid.l1_to(x)))
-
-
-def lipschitz_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
-    return float(np.max(values - grid.l1_to(x)))
 
 
 def hull_weights(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -118,17 +115,11 @@ def hull_weights(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> np.nda
     return sol.primal
 
 
-def concave_comb_lower(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
-    """Best barycentric lower bound: max sum lam_g values[g] over
-    decompositions of x into grid points (the concave hull at x)."""
-    return float(np.asarray(values, float) @ hull_weights(grid, values, x))
-
-
 def lower_value(grid: SimplexGrid, values: np.ndarray, x: np.ndarray) -> float:
-    """Certified lower interpolation of a concave 1-Lipschitz function."""
-    return max(
-        lipschitz_lower(grid, values, x), concave_comb_lower(grid, values, x)
-    )
+    """Certified lower interpolation of a concave function: the best
+    barycentric combination max sum lam_g values[g] over decompositions of
+    x into grid points (the concave hull of the data at x)."""
+    return float(np.asarray(values, float) @ hull_weights(grid, values, x))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +205,11 @@ def hull_pieces(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     pieces whose minimum is the hull.
 
     K <= 2 reads ``hull_pieces_1d``. For K >= 3 each upper facet of qhull's
-    hull is re-fitted exactly through its K vertices, and the
-    pieces are kept only when every data point lies on or below every piece
-    and the facets' projections fill the simplex (their volumes sum to its
-    volume); the minimum of the pieces is then the hull at every belief.
+    hull is re-fitted exactly through the K vertices of one of its
+    triangles, and the pieces are kept only when every data point lies on
+    or below every piece and the facets' projections fill the simplex
+    (their volumes sum to its volume); the minimum of the pieces is then
+    the hull at every belief.
     Affine data, which qhull rejects as flat, has one piece: the affine
     function through the values at the simplex vertices. When qhull fails
     otherwise or a check fails, that vertex-affine piece is returned too,
@@ -236,7 +228,8 @@ def hull_pieces(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     except QhullError:
         pass  # flat data; the checks below accept the vertex-affine piece
     else:
-        upper = hull.simplices[hull.equations[:, K - 1] > 0]
+        is_upper = hull.equations[:, K - 1] > 0
+        upper, planes = hull.simplices[is_upper], hull.equations[is_upper]
         corners = points[upper]  # (F, K, K): rows are the facet's vertices
         # |det| of a facet's barycentric corners is (K - 1)! times its
         # projected volume, so the simplex's facets sum to 1; Qt may add
@@ -244,8 +237,12 @@ def hull_pieces(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
         # |det| is at least resolution^-K)
         dets = np.abs(np.linalg.det(corners))
         keep = dets > 1e-12
-        pieces = np.linalg.solve(corners[keep], vals[upper[keep]][..., None])[..., 0]
         tiled = abs(dets[keep].sum() - 1.0) <= 1e-9
+        # Qt splits a coplanar facet into triangles that share its equation
+        # row bit for bit; one triangle per row carries the plane
+        first = np.sort(np.unique(planes[keep], axis=0, return_index=True)[1])
+        rows = np.flatnonzero(keep)[first]
+        pieces = np.linalg.solve(corners[rows], vals[upper[rows]][..., None])[..., 0]
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
     if tiled and float((points @ pieces.T - vals[:, None]).min()) >= -tol:
         return pieces

@@ -20,6 +20,10 @@ from ..lp import solve_lp
 if TYPE_CHECKING:
     from ..strategies import MarkovStrategy1
 
+_TOL = 1e-7  # payoff and alignment tolerance of a recovered step
+MAX_ASSIGNMENTS = 4096  # posterior alignment patterns tried per step
+MAX_COLUMN_COMBOS = 729  # payoff-attaining column patterns tried per alignment
+
 
 def play_of_markov_strategy(
     spec: RepeatedGameSpec | AuxGame,
@@ -58,9 +62,6 @@ def markov_strategy_of_play(
     spec: RepeatedGameSpec | AuxGame,
     u: BeliefMeasure,
     play: list[tuple[BeliefMeasure, float]],
-    tol: float = 1e-7,
-    max_assignments: int = 4096,
-    max_column_combos: int = 729,
 ) -> MarkovStrategy1:
     """Recover per-atom action maps that realize the given play, as an
     informed-player strategy with no maintenance tail.
@@ -81,9 +82,7 @@ def markov_strategy_of_play(
     stage_actions: list[np.ndarray] = []
     for step, (target, payoff) in enumerate(play, start=1):
         try:
-            actions = _recover_step(
-                aux, current, target, payoff, tol, max_assignments, max_column_combos
-            )
+            actions = _recover_step(aux, current, target, payoff)
         except _StepInfeasible as exc:
             raise ValueError(f"play is not realizable at step {step}: {exc}") from exc
         stage_atoms.append(current.atoms.copy())
@@ -106,9 +105,6 @@ def _recover_step(
     current: BeliefMeasure,
     target: BeliefMeasure,
     payoff: float,
-    tol: float,
-    max_assignments: int,
-    max_column_combos: int,
 ) -> np.ndarray:
     K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
     R, L = current.size, target.size
@@ -128,13 +124,13 @@ def _recover_step(
         col_maps.append(np.einsum("k,kind->dnki", p, aux.qbar).reshape(D, K, K * I))
         pay_maps.append(np.einsum("k,kij->jki", p, aux.payoff).reshape(J, K * I))
 
-    candidates = _assignment_candidates(aux, current, target, tol)
+    candidates = _assignment_candidates(aux, current, target, _TOL)
     combos = 1
     for opts in candidates:
         combos *= len(opts)
-    if combos > max_assignments:
+    if combos > MAX_ASSIGNMENTS:
         raise _StepInfeasible(
-            f"{combos} posterior alignment patterns exceed the cap {max_assignments}"
+            f"{combos} posterior alignment patterns exceed the cap {MAX_ASSIGNMENTS}"
         )
 
     for assignment in itertools.product(*candidates):
@@ -169,13 +165,13 @@ def _recover_step(
 
         col_options = [range(J)] * R
         n_col_combos = J**R
-        if n_col_combos > max_column_combos:
+        if n_col_combos > MAX_COLUMN_COMBOS:
             raise _StepInfeasible(
-                f"{n_col_combos} payoff-column patterns exceed the cap {max_column_combos}"
+                f"{n_col_combos} payoff-column patterns exceed the cap {MAX_COLUMN_COMBOS}"
             )
         for attaining in itertools.product(*col_options):
             sol = _solve_step_lp(
-                aux, current, payoff, base_eq, pay_maps, attaining, nv, tol,
+                aux, current, payoff, base_eq, pay_maps, attaining, nv, _TOL,
                 a_slice, R, K, I,
             )
             if sol is not None:

@@ -8,7 +8,7 @@ import pytest
 import rgsolve as rg
 from rgsolve.strategies import MarkovStrategy1, _nonrevealing_game, extract_p1_longrun
 from rgsolve.values import SimplexGrid, ThetaWeights
-from rgsolve.values.grid import concave_comb_lower, nearest
+from rgsolve.values.grid import lower_value, nearest
 
 from conftest import AM_MATRICES, make_k1_spec
 
@@ -71,6 +71,17 @@ class TestP2Strategies:
         b = tau.mixture(1, np.array([0.5, 0.5]))
         assert b.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_given_grid_must_match_the_horizon(self, am_aux):
+        vg8 = rg.value_theta_grid(am_aux, ThetaWeights.uniform(8), resolution=8)
+        # a cycle of 4 stages cannot replay 8 stage rules, nor can a
+        # 4-stage player-1 strategy
+        with pytest.raises(ValueError, match="not the horizon 4"):
+            rg.build_p2_cyclic(am_aux, 4, vgrid=vg8)
+        with pytest.raises(ValueError, match="not the horizon 4"):
+            rg.extract_p1_markov(am_aux, n=4, vgrid=vg8)
+        assert rg.build_p2_cyclic(am_aux, 8, vgrid=vg8).schedule == (8,)
+        assert len(rg.extract_p1_markov(am_aux, n=8, vgrid=vg8).stage_actions) == 8
+
     def test_growing_schedule_offsets(self, am_aux):
         tau = rg.build_p2_growing(am_aux, resolution=8, max_block=4)
         assert tau.schedule == (1, 2, 3, 4)
@@ -96,7 +107,6 @@ class TestNearestLookup:
         # each belief is at l1 distance 0.5 from two neighbouring rows
         assert nearest(grid.points, [0.25, 0.75]) == 0
         assert nearest(grid.points, [0.75, 0.25]) == 1
-        assert grid.nearest_index(np.array([0.25, 0.75])) == 0
         acts = np.arange(grid.size * 2, dtype=float).reshape(grid.size, 1, 2)
         sigma = MarkovStrategy1(stage_atoms=(grid.points,), stage_actions=(acts,), slack=0.0)
         assert np.array_equal(sigma.stacked_action(1, [0.75, 0.25]), acts[1])
@@ -270,10 +280,10 @@ class TestLongRunPositioning:
         assert any(np.array_equal(a, aux.pihat.atoms[0]) for a in atoms)
         for p, a in zip(atoms, sigma.stage_actions[0]):
             for q in aux.belief_step(p, a).atoms:
-                g = grid.nearest_index(q)
+                g = nearest(grid.points, q)
                 assert np.abs(grid.points[g] - q).sum() <= 1e-9
                 assert level[g] == pytest.approx(
-                    concave_comb_lower(grid, level, grid.points[g]), abs=1e-9
+                    lower_value(grid, level, grid.points[g]), abs=1e-9
                 )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -287,7 +297,7 @@ class TestLongRunPositioning:
                 w * _nonrevealing_game(q, aux.payoff).value
                 for q, w in zip(step.atoms, step.weights)
             )
-            assert held == pytest.approx(concave_comb_lower(grid, level, p), abs=1e-9)
+            assert held == pytest.approx(lower_value(grid, level, p), abs=1e-9)
 
     def test_blind_signal_keeps_the_maintenance_row(self):
         # u(p) = -p(1 - p) is convex, so every interior belief wants to split

@@ -23,12 +23,12 @@ from rgsolve.values import grid as grid_module
 from rgsolve.values.engine import _measure_bounds, _sweep
 from rgsolve.values.grid import (
     _cav_env_dim2,
-    concave_comb_lower,
     concave_majorant,
     eval_pieces,
     hull_pieces,
     lipschitz_upper,
     lower_value,
+    nearest,
 )
 from rgsolve.values.stage import one_shot_lp
 
@@ -96,6 +96,22 @@ class TestGridInterpolation:
         hi = lipschitz_upper(grid, vals, x)
         assert lo <= hi + 1e-12
         assert lo == pytest.approx(0.375, abs=1e-9)  # chord through neighbors
+
+    @pytest.mark.parametrize("K, resolution", [(2, 16), (3, 6)])
+    def test_hull_dominates_lipschitz_lower_on_sweep_output(self, K, resolution):
+        # the lower interpolation is the hull alone: on sweep output the
+        # Lipschitz lower envelope max_g v[g] - |x - g|_1 never exceeds it
+        rng = np.random.default_rng([12, K])
+        grid = SimplexGrid.create(K, resolution)
+        for _ in range(3):
+            aux = rg.auxiliary_game(random_informed_game(rng, nK=K))
+            vlow, _, _ = one_shot_lp(aux, grid.points)
+            vup = vlow
+            for alpha in (1 / 2, 1 / 3, 1 / 4):  # the uniform(4) chain, inward out
+                vlow, vup, _, _ = _sweep(aux, grid, alpha, vlow, vup)
+                for x in [*rng.dirichlet(np.ones(K), size=20), *aux.pihat.atoms]:
+                    lipschitz = float(np.max(vlow - np.abs(grid.points - x).sum(axis=1)))
+                    assert lower_value(grid, vlow, x) >= lipschitz - 1e-12
 
     def test_concave_majorant_dominates_data(self):
         rng = np.random.default_rng(5)
@@ -165,7 +181,19 @@ class TestHullPieces:
         assert "hull check failed" not in caplog.text
         assert (grid.points @ pieces.T >= vals[:, None] - 1e-9).all()
         for x in rng.dirichlet(np.ones(K), size=200):
-            assert abs(eval_pieces(pieces, x) - concave_comb_lower(grid, vals, x)) <= 1e-9
+            assert abs(eval_pieces(pieces, x) - lower_value(grid, vals, x)) <= 1e-9
+
+    @pytest.mark.parametrize("K, resolution", [(3, 8), (3, 16), (4, 4)])
+    def test_one_piece_per_plane(self, K, resolution):
+        # Qt splits each coplanar facet of this data into several triangles
+        rng = np.random.default_rng([K, resolution])
+        grid = SimplexGrid.create(K, resolution)
+        vals = (grid.points @ rng.random((K, 4))).min(axis=1)
+        pieces = hull_pieces(grid.points, vals)
+        apart = np.abs(pieces[:, None, :] - pieces[None, :, :]).max(axis=2)
+        assert (apart[~np.eye(len(pieces), dtype=bool)] > 1e-10).all()
+        for x in rng.dirichlet(np.ones(K), size=50):
+            assert abs(eval_pieces(pieces, x) - lower_value(grid, vals, x)) <= 1e-9
 
     def test_failed_hull_falls_back_to_valid_pieces(self, monkeypatch, caplog):
         def failing_hull(coords):
@@ -179,7 +207,7 @@ class TestHullPieces:
         upper = concave_majorant(lattice.points, vals, lattice.resolution)
         assert caplog.text.count("hull check failed") == 2
         for x in np.random.default_rng(7).dirichlet(np.ones(3), size=50):
-            assert eval_pieces(lower, x) <= concave_comb_lower(lattice, vals, x) + 1e-9
+            assert eval_pieces(lower, x) <= lower_value(lattice, vals, x) + 1e-9
             assert eval_pieces(upper, x) >= f(x) - 1e-9
 
     @pytest.mark.parametrize("K", [3, 4, 5])
@@ -352,7 +380,7 @@ class TestValueGrid:
 
     def test_grid_point_gridpoint_measure(self, am_aux):
         vg = rg.value_theta_grid(am_aux, ThetaWeights.uniform(2), resolution=32)
-        idx = vg.grid.nearest_index(np.array([0.25, 0.75]))
+        idx = nearest(vg.grid.points, np.array([0.25, 0.75]))
         u = rg.BeliefMeasure.dirac(vg.grid.points[idx])
         lo, hi = rg.evaluate_measure(vg, u)
         assert lo == pytest.approx(float(vg.lower[idx]), abs=1e-9)
@@ -411,6 +439,13 @@ class TestBackendAgreement:
             lo, hi = rg.value_theta_exact(spec, theta, np.array([1.0]))
             assert lo == pytest.approx(oracle, abs=1e-6)
             assert hi == pytest.approx(oracle, abs=1e-6)
+
+    def test_tree_bounds_stay_in_payoff_range(self):
+        # this game's largest payoff is 0.951; the tree upper at its first
+        # prior atom reached 0.992 when it was clipped to 1 only
+        aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(28)))
+        lo, hi = rg.value_theta_exact(aux, ThetaWeights.uniform(3), aux.pihat.atoms[0])
+        assert aux.payoff.min() <= lo <= hi <= aux.payoff.max()
 
     def test_tree_guard(self, am_aux):
         with pytest.raises(ValueError, match="guard"):
