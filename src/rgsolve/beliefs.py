@@ -15,17 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .lp import solve_lp, transport_lp
+from .lp import plan_marginal_rows, solve_lp, transport_lp
 
 
-def check_belief(p: np.ndarray, tol: float = TOL.structural) -> np.ndarray:
-    """Validate simplex membership and return the belief as a float array."""
+def check_belief(p: np.ndarray) -> np.ndarray:
+    """Validate simplex membership to 1e-9 and return the belief as a float
+    array, negative noise clipped to zero."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("belief must be a vector")
-    if p.min() < -tol:
+    if p.min() < -1e-9:
         raise ValueError(f"belief has negative entry {p.min()}")
-    if abs(p.sum() - 1.0) > max(tol, 1e-9):
+    if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"belief sums to {p.sum()}, expected 1")
     return np.clip(p, 0.0, None)
 
@@ -61,7 +62,7 @@ class BeliefMeasure:
         elif abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
         for row in atoms:
-            check_belief(row, tol=1e-9)
+            check_belief(row)
         atoms, weights = _merge_atoms(atoms, weights)
         order = np.lexsort(atoms.T[::-1])
         return BeliefMeasure(atoms=atoms[order], weights=weights[order])
@@ -190,19 +191,12 @@ def choquet_dominates(u: BeliefMeasure, v: BeliefMeasure) -> tuple[bool, Choquet
     R, S, K = u.size, v.size, u.dim
     n = R * S
     # rows: row sums (R), per-row barycenter (R*K), column sums (S)
-    A_eq = np.zeros((R + R * K + S, n))
-    b_eq = np.zeros(R + R * K + S)
+    marginals = plan_marginal_rows(R, S)
+    barycenters = np.zeros((R * K, n))
     for r in range(R):
-        A_eq[r, r * S : (r + 1) * S] = 1.0
-        b_eq[r] = u.weights[r]
-    for r in range(R):
-        for k in range(K):
-            row = R + r * K + k
-            A_eq[row, r * S : (r + 1) * S] = v.atoms[:, k] - u.atoms[r, k]
-            b_eq[row] = 0.0
-    for s in range(S):
-        A_eq[R + R * K + s, s::S] = 1.0
-        b_eq[R + R * K + s] = v.weights[s]
+        barycenters[r * K : (r + 1) * K, r * S : (r + 1) * S] = (v.atoms - u.atoms[r]).T
+    A_eq = np.vstack([marginals[:R], barycenters, marginals[R:]])
+    b_eq = np.concatenate([u.weights, np.zeros(R * K), v.weights])
     # solved directly: a failure is certified by the separating concave
     # function, so a Farkas vector would be wasted work
     sol = solve_lp(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
@@ -284,9 +278,9 @@ def splitting_action(
     stage payoff and the (state, signal) transition exact mixtures of the
     per-component ones.
     """
-    p = check_belief(np.asarray(p, float), tol=1e-9)
+    p = check_belief(p)
     lams = np.array([lam for lam, _ in components], dtype=float)
-    comps = np.array([check_belief(np.asarray(ps, float), 1e-9) for _, ps in components])
+    comps = np.array([check_belief(ps) for _, ps in components])
     if lams.min() < -1e-12 or abs(lams.sum() - 1.0) > 1e-9:
         raise ValueError("component weights must form a probability vector")
     recon = lams @ comps

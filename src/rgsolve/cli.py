@@ -88,8 +88,11 @@ def _open_out(path: str | None):
 def _parse_theta(text: str) -> ThetaWeights:
     mapping = {}
     for part in text.split(","):
-        t, w = part.split(":")
-        mapping[int(t)] = float(w)
+        try:
+            t, w = part.split(":")
+            mapping[int(t)] = float(w)
+        except ValueError:
+            raise CliError(f"--theta entry {part!r} is not stage:weight") from None
     return ThetaWeights.from_map(mapping)
 
 
@@ -171,14 +174,7 @@ def cmd_wvalue(args) -> int:
     started = time.monotonic()
     spec = load_spec(args.spec)
     aux = auxiliary_game(spec)
-    res = w_mn(
-        aux,
-        args.m,
-        args.n,
-        resolution=args.grid,
-        theta_resolution=args.theta_grid,
-        guard=max(args.n, 4),
-    )
+    res = w_mn(aux, args.m, args.n, resolution=args.grid, theta_resolution=args.theta_grid)
     config = {"m": args.m, "n": args.n, "theta_grid": args.theta_grid, "grid": args.grid}
     doc = {
         "manifest": _manifest("wvalue", args.spec, config, started),
@@ -300,7 +296,7 @@ def cmd_oracle(args) -> int:
     matrices = [
         spec.payoff[k] * spec.payoff_scale + spec.payoff_offset for k in range(spec.nK)
     ]
-    oracle = cavu_oracle(matrices, resolution=args.grid or 64)
+    oracle = cavu_oracle(matrices, resolution=64 if args.grid is None else args.grid)
     manifest = _manifest("oracle", args.spec, {"oracle": "cavu", "grid": args.grid}, started)
     header = [f"p{k}" for k in range(spec.nK)] + ["u", "cav_u"]
     rows = [

@@ -258,7 +258,7 @@ def initial_belief_measure(spec: RepeatedGameSpec) -> BeliefMeasure:
 
 def stage_payoff(spec: RepeatedGameSpec, p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Expected stage payoff at belief p under stacked action a and mixture b."""
-    p = check_belief(p, tol=1e-9)
+    p = check_belief(p)
     a = check_stacked(a, spec.nK, spec.nI)
     b = np.asarray(b, dtype=float)
     return float(np.einsum("k,ki,j,kij->", p, a, b, spec.payoff))
@@ -286,7 +286,7 @@ def _qbar(spec: RepeatedGameSpec) -> np.ndarray:
 def transition_marginal(spec: RepeatedGameSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Law of (next state, signal2) at belief p under stacked action a."""
     qbar = _qbar(spec)  # (K, I, K, D)
-    p = check_belief(p, tol=1e-9)
+    p = check_belief(p)
     a = check_stacked(a, spec.nK, spec.nI)
     return np.einsum("k,ki,kind->nd", p, a, qbar)
 
@@ -322,7 +322,7 @@ def build_aumann_maschler(matrices: list[np.ndarray], p: np.ndarray) -> Repeated
         raise ValueError("at least one nonempty payoff matrix is required")
     unit, scale, offset = _rescale(matrices)
     K, I, J = unit.shape
-    p = check_belief(np.asarray(p, float), tol=1e-9)
+    p = check_belief(p)
     if p.shape != (K,):
         raise ValueError("initial distribution does not match the matrices")
     kernel = np.zeros((K, I, K))
@@ -352,7 +352,7 @@ def build_markov_chain_game(
         raise ValueError(f"kernel must have shape ({K},{I},{K}) or ({K},{K})")
     if kernel.min() < -TOL.feasibility or np.abs(kernel.sum(axis=2) - 1.0).max() > TOL.feasibility:
         raise ValueError("kernel rows must be probability vectors")
-    p = check_belief(np.asarray(p, float), tol=1e-9)
+    p = check_belief(p)
     return _build_controlled_chain(unit, kernel, p, scale, offset, reveal_state_to_p2)
 
 

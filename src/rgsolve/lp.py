@@ -221,14 +221,19 @@ def matrix_game_value(M: np.ndarray) -> MatrixGameSolution:
     )
     if sol.status != "optimal":
         raise LPError(f"matrix game LP not optimal: {sol.status}")
-    x = np.clip(sol.primal[:nr], 0.0, None)
-    x /= x.sum()
-    y = np.clip(sol.dual_ub, 0.0, None)
-    s = y.sum()
-    y = np.full(nc, 1.0 / nc) if s <= 0 else y / s
+    x = normalize_mixtures(sol.primal[:nr])
+    y = normalize_mixtures(sol.dual_ub)
     value = float(sol.primal[-1] + shift)
     _check_game_solution(M, value, x, y)
     return MatrixGameSolution(value=value, row_strategy=x, col_strategy=y)
+
+
+def normalize_mixtures(a: np.ndarray) -> np.ndarray:
+    """Clip each mixture (last axis) to be nonnegative and renormalize it;
+    an all-zero mixture becomes uniform."""
+    a = np.clip(a, 0.0, None)
+    s = a.sum(axis=-1, keepdims=True)
+    return np.where(s > 0, a / np.where(s > 0, s, 1.0), 1.0 / a.shape[-1])
 
 
 def _check_game_solution(M, value, x, y) -> None:
@@ -257,11 +262,7 @@ def transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> LP
             f"mass mismatch: supply {supply.sum()} vs demand {demand.sum()}"
         )
     # Equality rows: row sums = supply, column sums = demand (one redundant).
-    A_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        A_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        A_eq[m + j, j::n] = 1.0
+    A_eq = plan_marginal_rows(m, n)
     b_eq = np.concatenate([supply, demand])
     return solve_lp(
         cost.ravel(),
@@ -269,3 +270,9 @@ def transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> LP
         b_eq=b_eq[:-1],
         bounds=(0, None),
     )
+
+
+def plan_marginal_rows(R: int, S: int) -> np.ndarray:
+    """(R + S, R * S) equality rows over a row-major R x S plan: its R row
+    sums, then its S column sums."""
+    return np.vstack([np.kron(np.eye(R), np.ones(S)), np.kron(np.ones(R), np.eye(S))])

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game_model import AuxGame, RepeatedGameSpec, auxiliary_game
+from .lp import normalize_mixtures
 
 ADVERSARY_SUITE_VERSION = "v1"
 MAX_PURE_ADVERSARIES = 16  # state-indexed pure player-1 opponents in the suite
@@ -34,6 +35,8 @@ class PlayoutConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.replications < 1:
             raise ValueError("horizon and replications must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +92,6 @@ def _draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((c <= (u * c[:, -1])[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
-def _posterior(cols: np.ndarray) -> np.ndarray:
-    """Normalize each row; a row of zero mass gives the uniform belief."""
-    mass = cols.sum(axis=1)
-    out = np.full(cols.shape, 1.0 / cols.shape[1])
-    seen = mass > 0
-    out[seen] = cols[seen] / mass[seen, None]
-    return out
-
-
 def _validate(rows: np.ndarray, who: str, t: int, beliefs: np.ndarray) -> None:
     sums = rows.sum(axis=1)
     bad = ~((rows.min(axis=1) >= -1e-9) & (np.abs(sums - 1.0) <= 1e-6))
@@ -141,7 +135,7 @@ def simulate(
     u0 = np.array([rng.random() for rng in rngs])
     idx = _draw_rows(np.broadcast_to(flat_init, (R, flat_init.size)), u0)
     k, _, d = np.unravel_index(idx, sp.initial.shape)
-    beliefs = _posterior(joint0.T[d])
+    beliefs = normalize_mixtures(joint0.T[d])
     acc = np.zeros(R)
     stage_sum = np.zeros(H)
     steps = []  # (k, i, j, g) of every stage, kept only for the trace
@@ -164,7 +158,8 @@ def simulate(
         if trace is not None:
             steps.append((k, i, j, g))
         k, _, d = np.unravel_index(_draw_rows(flat_q[k, i, j], u[:, s, 2]), shape_next)
-        beliefs = _posterior(np.einsum("rk,rki,kinr->rn", beliefs, a, aux.qbar[:, :, :, d]))
+        cols = np.einsum("rk,rki,kinr->rn", beliefs, a, aux.qbar[:, :, :, d])
+        beliefs = normalize_mixtures(cols)
     if trace is not None:
         ks, i1, j2, gs = (np.stack(col, axis=1).tolist() for col in zip(*steps))  # (R, H)
         for rep in range(R):

@@ -263,7 +263,7 @@ def extract_p1_longrun(
     stages, since splitting again at a split point cannot raise cav u.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    res = resolution or default_resolution(aux.nK)
+    res = default_resolution(aux.nK) if resolution is None else resolution
     grid = SimplexGrid.create(aux.nK, res)
     level = np.array([_nonrevealing_game(p, aux.payoff).value for p in grid.points])
     atoms = np.unique(np.vstack([grid.points, aux.pihat.atoms]), axis=0)
@@ -334,6 +334,8 @@ def build_p2_growing(
 ) -> BlockStrategy2:
     """Blocks of growing length: block m (length m) plays the minimizing
     rules of the game averaging stages m(m-1)/2 + 1 .. m(m+1)/2."""
+    if max_block < 1:
+        raise ValueError(f"max_block must be at least 1, got {max_block}")
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
     block_atoms = []
     block_mixtures = []

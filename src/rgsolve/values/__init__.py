@@ -14,7 +14,7 @@ from .engine import (
     w_mn,
 )
 from .exact import value_theta_exact
-from .grid import SimplexGrid, concave_majorant, lower_value, lipschitz_upper
+from .grid import SimplexGrid
 from .mdp import markov_strategy_of_play, play_of_markov_strategy
 from .stage import one_shot_lp
 from .thetas import ThetaWeights, suffix_chain, theta_lift, theta_plus, theta_shift
@@ -26,11 +26,8 @@ __all__ = [
     "UniformValueReport",
     "ValueGrid",
     "WValueResult",
-    "concave_majorant",
     "default_resolution",
     "evaluate_measure",
-    "lipschitz_upper",
-    "lower_value",
     "markov_strategy_of_play",
     "one_shot_lp",
     "play_of_markov_strategy",

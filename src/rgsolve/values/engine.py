@@ -16,6 +16,10 @@ belongs to the outermost of ``value_theta_grid``, ``w_mn`` and
 ``uniform_value_estimate`` running on a game, is shared by the calls
 nested in it, and is dropped when that call returns or raises; its arrays
 are read-only.
+
+``w_mn`` and ``uniform_value_estimate`` evaluate at the game's initial
+belief measure. A ``resolution`` of None picks ``default_resolution`` for
+the number of states; any other resolution must be at least 1.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def _sweep(
         v1, a, b = one_shot_lp(aux, grid.points)
         return alpha * v1 + (1 - alpha) * vlow, alpha * v1 + (1 - alpha) * vup, a, b
     pieces = concave_majorant(grid.points, vup, grid.resolution)
-    lo, argmax = stage_lower_lp(aux, grid.points, alpha, grid, vlow)
+    lo, argmax = stage_lower_lp(aux, grid, alpha, vlow)
     up, _, opponent = stage_upper_lp(aux, grid.points, alpha, pieces)
     inverted = np.flatnonzero(up < lo - 1e-6)
     if inverted.size:
@@ -139,14 +143,15 @@ def value_theta_grid(
     resolution: int | None = None,
     jobs: int = 1,
 ) -> ValueGrid:
-    """Certified bounds for the theta-weighted game on the belief lattice.
+    """Certified bounds for the theta-weighted game on the belief lattice
+    at ``resolution`` (None: ``default_resolution``).
 
     ``jobs`` is accepted for compatibility and ignored, here and in
     ``uniform_value_estimate``: each sweep solves its whole grid as a few
     block LPs in one thread. The returned arrays are read-only.
     """
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    res = resolution or default_resolution(aux.nK)
+    res = default_resolution(aux.nK) if resolution is None else resolution
     grid = SimplexGrid.create(aux.nK, res)
     alphas = tuple(th.first_weight for th in suffix_chain(theta))
 
@@ -245,43 +250,41 @@ def w_mn(
     spec: RepeatedGameSpec | AuxGame,
     m: int,
     n: int,
-    u: BeliefMeasure | None = None,
     resolution: int | None = None,
     theta_resolution: int = 4,
-    guard: int = 4,
 ) -> WValueResult:
-    """Best payoff securable on every prefix average between stages m+1
-    and m+t, t <= n: the infimum over lifted evaluation measures.
+    """Best payoff securable at the initial belief measure on every prefix
+    average between stages m+1 and m+t, t <= n: the infimum over lifted
+    evaluation measures.
 
-    Minimizes the certified bounds over a lattice of stage measures and
-    the upper bound also over the best one's neighbours on the doubled
-    lattice; the lower bound subtracts the total-variation modulus of the
-    value in the evaluation measure (payoffs lie in [0, 1], so values move
-    by at most half the l1 distance between lifted measures, which the lift
-    does not expand).
+    Minimizes the certified bounds over the lattice of stage measures at
+    ``theta_resolution`` and the upper bound also over the best one's
+    neighbours on the doubled lattice; the lower bound subtracts the
+    total-variation modulus of the value in the evaluation measure (payoffs
+    lie in [0, 1], so values move by at most half the l1 distance between
+    lifted measures, which the lift does not expand). For n = 1 the lattice
+    is the single measure on stage 1, with no neighbours and no cover.
     """
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    if n > guard:
-        raise ValueError(f"n={n} exceeds the guard {guard} for the theta search")
-    if u is None:
-        u = aux.pihat
-    thetas = _theta_lattice(n, theta_resolution) if n > 1 else [ThetaWeights.dirac(1)]
+    thetas = _theta_lattice(n, theta_resolution)
 
     def bounds_for(th: ThetaWeights):
         vg = value_theta_grid(aux, theta_lift(th, m), resolution)
-        return evaluate_measure(vg, u)
+        return evaluate_measure(vg, aux.pihat)
 
     # the lifted chains share their inner tails
     with _memo_scope(aux):
         evals = [(th, *bounds_for(th)) for th in thetas]
-        best = min(evals, key=lambda t: t[2])
-        theta_star, lo_star, up_star = best
-        cover = 0.0 if n == 1 else (n - 1) / theta_resolution
-        if n > 1:
-            for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
-                lo, up = bounds_for(th)
-                if up < up_star:
-                    theta_star, lo_star, up_star = th, lo, up
+        theta_star, _, up_star = min(evals, key=lambda t: t[2])
+        for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
+            up = bounds_for(th)[1]
+            if up < up_star:
+                theta_star, up_star = th, up
+    cover = (n - 1) / theta_resolution
     lower = min(e[1] for e in evals) - cover / 2.0
     return WValueResult(
         lower=float(lower),
@@ -358,7 +361,6 @@ def uniform_value_estimate(
     max_m: int = 8,
     max_n: int = 8,
     resolution: int | None = None,
-    u: BeliefMeasure | None = None,
     w_guard: int = 3,
     jobs: int = 1,
 ) -> UniformValueReport:
@@ -369,13 +371,16 @@ def uniform_value_estimate(
     Cell (m, n) of the shifted table reads ``value_mn(m, n)``. Under one
     sweep memo each cell adds one payoff-free sweep to cell (m - 1, n), and
     the w cells, whose lifted chains end in the same tails, reuse them.
-    The w cells search stage measures on the lattice at
-    ``WINDOW_THETA_RESOLUTION``.
+    The w cells, n <= ``w_guard`` and m <= ``w_guard``, search stage
+    measures on the lattice at ``WINDOW_THETA_RESOLUTION``. Needs
+    max_m >= 0 and max_n >= 1.
     """
+    if max_m < 0:
+        raise ValueError(f"max_m must be at least 0, got {max_m}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    if u is None:
-        u = aux.pihat
-    res = resolution or default_resolution(aux.nK)
+    res = default_resolution(aux.nK) if resolution is None else resolution
 
     M, N = max_m, max_n
     v_lower = np.empty((M + 1, N))
@@ -386,15 +391,12 @@ def uniform_value_estimate(
         for n in range(1, N + 1):
             for m in range(M + 1):
                 vg = value_mn(aux, m, n, res)
-                v_lower[m, n - 1], v_upper[m, n - 1] = evaluate_measure(vg, u)
+                v_lower[m, n - 1], v_upper[m, n - 1] = evaluate_measure(vg, aux.pihat)
             max_gap = max(max_gap, vg.gap)
 
         for n in range(1, min(N, w_guard) + 1):
             for m in range(0, min(M, w_guard) + 1):
-                w_cells[(m, n)] = w_mn(
-                    aux, m, n, u=u, resolution=res,
-                    theta_resolution=WINDOW_THETA_RESOLUTION, guard=w_guard,
-                )
+                w_cells[(m, n)] = w_mn(aux, m, n, res, WINDOW_THETA_RESOLUTION)
 
     infsup_lower = float(np.min(np.max(v_lower, axis=0)))
     infsup_upper = float(np.min(np.max(v_upper, axis=0)))

@@ -24,6 +24,7 @@ Guarded by a maximum stage: the posterior tree grows with the horizon.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 
@@ -71,16 +72,6 @@ class _TreeSolver:
     def _proxy(self, p: np.ndarray) -> float:
         return one_shot_lp(self.aux, p)[0]
 
-    def _score(self, level: int, p: np.ndarray, a: np.ndarray) -> float:
-        alpha = self.chain[level].first_weight
-        val = alpha * self.aux.guaranteed_payoff(p, a)
-        if alpha < 1.0:
-            step = self.aux.belief_step(p, a)
-            val += (1.0 - alpha) * sum(
-                w * self._proxy(atom) for atom, w in zip(step.atoms, step.weights)
-            )
-        return val
-
     def _candidates(self, pool: np.ndarray, p: np.ndarray) -> list[np.ndarray]:
         # the myopically optimal stacked action joins the lattice; it makes
         # single-state recursions exact and anchors the search elsewhere
@@ -96,21 +87,22 @@ class _TreeSolver:
             out = self._proxy(p)
         else:
             cands = self._candidates(self.deep_candidates, p)
-            scores = [self._score(level, p, a) for a in cands]
+            scores = [self._plan_value(level, p, a, self._proxy) for a in cands]
             a = cands[int(np.argmax(scores))]
-            out = self._plan_value(level, p, a)
+            out = self._plan_value(level, p, a, partial(self._greedy_value, level + 1))
         self.lower_memo[key] = out
         return out
 
-    def _plan_value(self, level: int, p: np.ndarray, a: np.ndarray) -> float:
-        """Exact value of: play a now, continue with the greedy plan."""
+    def _plan_value(self, level: int, p: np.ndarray, a: np.ndarray, continuation) -> float:
+        """Value of: play a now, then ``continuation`` at each posterior.
+        Exact with the greedy plan below; with the one-shot proxy, the
+        score that ranks candidate actions."""
         alpha = self.chain[level].first_weight
         val = alpha * self.aux.guaranteed_payoff(p, a)
         if alpha < 1.0:
             step = self.aux.belief_step(p, a)
             val += (1.0 - alpha) * sum(
-                w * self._greedy_value(level + 1, atom)
-                for atom, w in zip(step.atoms, step.weights)
+                w * continuation(atom) for atom, w in zip(step.atoms, step.weights)
             )
         return val
 
@@ -119,12 +111,12 @@ class _TreeSolver:
         if self.chain[0].max_stage == 1:
             return self._proxy(p), one_shot_lp(self.aux, p)[1]
         cands = self._candidates(self.root_candidates, p)
-        scores = np.array([self._score(0, p, a) for a in cands])
+        scores = np.array([self._plan_value(0, p, a, self._proxy) for a in cands])
         order = np.argsort(-scores)[: max(8, len(scores) // 4)]
         best_val, best_a = -np.inf, cands[0]
         for idx in order:
             a = cands[idx]
-            val = self._plan_value(0, p, a)
+            val = self._plan_value(0, p, a, partial(self._greedy_value, 1))
             if val > best_val:
                 best_val, best_a = val, a
         return best_val, best_a

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..beliefs import BeliefMeasure, mix_measures
 from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
-from ..lp import solve_lp
+from ..lp import LPError, normalize_mixtures, solve_lp
 
 if TYPE_CHECKING:
     from ..strategies import MarkovStrategy1
@@ -124,13 +124,17 @@ def _recover_step(
         col_maps.append(np.einsum("k,kind->dnki", p, aux.qbar).reshape(D, K, K * I))
         pay_maps.append(np.einsum("k,kij->jki", p, aux.payoff).reshape(J, K * I))
 
-    candidates = _assignment_candidates(aux, current, target, _TOL)
+    candidates = _assignment_candidates(col_maps, target, K, I)
     combos = 1
     for opts in candidates:
         combos *= len(opts)
     if combos > MAX_ASSIGNMENTS:
         raise _StepInfeasible(
             f"{combos} posterior alignment patterns exceed the cap {MAX_ASSIGNMENTS}"
+        )
+    if J**R > MAX_COLUMN_COMBOS:
+        raise _StepInfeasible(
+            f"{J**R} payoff-column patterns exceed the cap {MAX_COLUMN_COMBOS}"
         )
 
     for assignment in itertools.product(*candidates):
@@ -163,44 +167,27 @@ def _recover_step(
             rhs_eq.append(float(target.weights[l]))
         base_eq = (np.array(rows_eq), np.array(rhs_eq))
 
-        col_options = [range(J)] * R
-        n_col_combos = J**R
-        if n_col_combos > MAX_COLUMN_COMBOS:
-            raise _StepInfeasible(
-                f"{n_col_combos} payoff-column patterns exceed the cap {MAX_COLUMN_COMBOS}"
-            )
-        for attaining in itertools.product(*col_options):
-            sol = _solve_step_lp(
-                aux, current, payoff, base_eq, pay_maps, attaining, nv, _TOL,
-                a_slice, R, K, I,
-            )
-            if sol is not None:
-                return sol
+        for attaining in itertools.product(range(J), repeat=R):
+            x = _solve_step_lp(current, payoff, base_eq, pay_maps, attaining, a_slice)
+            if x is not None:
+                return normalize_mixtures(x[: R * K * I].reshape(R, K, I))
     raise _StepInfeasible("no alignment pattern admits a realizing action map")
 
 
-def _assignment_candidates(aux, current, target, tol):
-    """Per (atom, signal): target atoms reachable as that signal's posterior."""
-    K, I, D = aux.nK, aux.nI, aux.nD
+def _assignment_candidates(col_maps, target, K, I):
+    """Per (atom, signal): target atoms reachable as that signal's posterior,
+    i.e. some a in the action polytope and s >= 0 have cols[d] @ a = s * r."""
     out = []
-    for p in current.atoms:
-        cols = np.einsum("k,kind->dnki", p, aux.qbar).reshape(D, K, K * I)
-        for d in range(D):
-            opts = []
-            for l, r in enumerate(target.atoms):
-                # feasibility: exists a in the action polytope, s >= 0 with
-                # cols[d] @ a = s * r  (always true with s = 0 only if the
-                # column can vanish; keep the option when the aligned cone
-                # test passes)
-                if _column_can_align(cols[d], r, K, I, p):
-                    opts.append(l)
+    for j, cols in enumerate(col_maps):
+        for d, col in enumerate(cols):
+            opts = [l for l, r in enumerate(target.atoms) if _column_can_align(col, r, K, I)]
             if not opts:
-                opts = list(range(len(target.atoms)))
+                raise _StepInfeasible(f"signal {d} of atom {j} can reach no target atom")
             out.append(opts)
     return out
 
 
-def _column_can_align(col_map, r, K, I, p) -> bool:
+def _column_can_align(col_map, r, K, I) -> bool:
     nv = K * I + 1
     A_eq = np.zeros((K + K, nv))
     b_eq = np.zeros(K + K)
@@ -214,20 +201,17 @@ def _column_can_align(col_map, r, K, I, p) -> bool:
     return sol.status == "optimal"
 
 
-def _solve_step_lp(
-    aux, current, payoff, base_eq, pay_maps, attaining, nv, tol, a_slice, R, K, I
-):
+def _solve_step_lp(current, payoff, base_eq, pay_maps, attaining, a_slice):
     """Minimize |guaranteed payoff - target| inside the alignment polytope;
-    accept when the optimum is within tolerance. One extra slack variable."""
-    J = aux.nJ
+    return the primal vector when the optimum is within tolerance. One
+    extra slack variable, last."""
     A_eq, b_eq = base_eq
-    n_all = nv + 1  # trailing slack e >= |payoff(a) - target|
+    n_all = A_eq.shape[1] + 1  # trailing slack e >= |payoff(a) - target|
     A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
     rows_ub, rhs_ub = [], []
     # chosen column attains the per-atom minimum
-    for j in range(R):
-        jh = attaining[j]
-        for other in range(J):
+    for j, jh in enumerate(attaining):
+        for other in range(len(pay_maps[j])):
             if other == jh:
                 continue
             row = np.zeros(n_all)
@@ -235,8 +219,8 @@ def _solve_step_lp(
             rows_ub.append(row)
             rhs_ub.append(0.0)
     pay_row = np.zeros(n_all)
-    for j in range(R):
-        pay_row[a_slice(j)] += current.weights[j] * pay_maps[j][attaining[j]]
+    for j, jh in enumerate(attaining):
+        pay_row[a_slice(j)] += current.weights[j] * pay_maps[j][jh]
     plus = pay_row.copy()
     plus[-1] = -1.0
     rows_ub.append(plus)
@@ -256,13 +240,8 @@ def _solve_step_lp(
             b_eq=b_eq,
             bounds=(0, None),
         )
-    except Exception:
+    except LPError:
         return None
-    if sol.status != "optimal" or sol.primal[-1] > tol:
+    if sol.status != "optimal" or sol.primal[-1] > _TOL:
         return None
-    acts = np.empty((R, K, I))
-    for j in range(R):
-        acts[j] = sol.primal[a_slice(j)].reshape(K, I)
-        acts[j] = np.clip(acts[j], 0.0, None)
-        acts[j] /= acts[j].sum(axis=1, keepdims=True)
-    return acts
+    return sol.primal

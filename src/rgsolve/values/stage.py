@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..game_model import AuxGame
-from ..lp import LPError, solve_lp
+from ..lp import LPError, normalize_mixtures, solve_lp
 from .grid import SimplexGrid, hull_pieces
 
 # most beliefs per HiGHS model: a resolution-64 grid is five models. HiGHS
@@ -64,14 +64,14 @@ def stage_upper_lp(
 
 def stage_lower_lp(
     aux: AuxGame,
-    points: np.ndarray,
-    alpha: float,
     grid: SimplexGrid,
+    alpha: float,
     vlow: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified lower Shapley step; returns per belief the value (P,) and
-    the maximizing stacked action (P, K, I), whose value it guarantees."""
-    values, actions, _ = stage_upper_lp(aux, points, alpha, hull_pieces(grid.points, vlow))
+    """Certified lower Shapley step at every lattice point against the
+    lower values ``vlow``; returns per point the value (G,) and the
+    maximizing stacked action (G, K, I), whose value it guarantees."""
+    values, actions, _ = stage_upper_lp(aux, grid.points, alpha, hull_pieces(grid.points, vlow))
     return values, actions
 
 
@@ -125,7 +125,7 @@ def _upper_form_model(aux, points, alpha, q_weights):
         raise LPError(f"upper-form stage LP ended with status {sol.status}")
     x = sol.primal.reshape(B, nv)
     duals = sol.dual_ub.reshape(B, nr)[:, :J]
-    return x @ c, _clean_stacked(x[:, :KI].reshape(B, K, I)), _dual_mixture(duals, alpha)
+    return x @ c, normalize_mixtures(x[:, :KI].reshape(B, K, I)), _dual_mixture(duals, alpha)
 
 
 def _failed_at(alpha: float, p: np.ndarray, exc: LPError) -> LPError:
@@ -157,18 +157,10 @@ def one_shot_lp(aux: AuxGame, points: np.ndarray):
     return values, actions, opponents
 
 
-def _clean_stacked(a: np.ndarray) -> np.ndarray:
-    """Clip each mixture (last axis) to be nonnegative and renormalize it;
-    an all-zero mixture becomes uniform."""
-    a = np.clip(a, 0.0, None)
-    s = a.sum(axis=-1, keepdims=True)
-    return np.where(s > 0, a / np.where(s > 0, s, 1.0), 1.0 / a.shape[-1])
-
-
 def _dual_mixture(duals: np.ndarray, alpha: float) -> np.ndarray:
     """Opponent mixtures from payoff-row duals (last axis); uniform when the
     stage payoff carries no weight or the duals vanish."""
     nJ = duals.shape[-1]
     if alpha <= 0.0:
         return np.full(duals.shape, 1.0 / nJ)
-    return _clean_stacked(duals)
+    return normalize_mixtures(duals)

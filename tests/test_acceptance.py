@@ -84,7 +84,7 @@ def test_criterion_1_trivial_collapse():
                     abs(float(vg.lower[0]) - oracle),
                     abs(float(vg.upper[0]) - oracle),
                 )
-                w = rg.w_mn(aux, m, n, guard=8, theta_resolution=2)
+                w = rg.w_mn(aux, m, n, theta_resolution=2)
                 worst_err = max(worst_err, abs(w.upper - oracle))
                 ok = ok and w.lower <= oracle + 1e-6
         rep = rg.uniform_value_estimate(aux, max_m=8, max_n=8, w_guard=2)

@@ -245,6 +245,43 @@ def test_jobs_flag_is_gone(am_spec_file, capsys):
     assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def strategy_files(am_spec_file, tmp_path_factory):
+    d = tmp_path_factory.mktemp("strategies")
+    for player in ("1", "2"):
+        assert main(["strategy", am_spec_file, "--player", player, "--n", "2",
+                     "--grid", "8", "--out", str(d / f"p{player}.json")]) == 0
+    return str(d / "p1.json"), str(d / "p2.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["value", "{spec}", "--n", "2", "--grid", "0"], "resolution"),
+        (["oracle", "cavu", "{spec}", "--grid", "0"], "resolution"),
+        (["wvalue", "{spec}", "--m", "0", "--n", "0"], "n must be at least 1"),
+        (["uniform", "{spec}", "--max-m", "-1"], "max_m must be at least 0"),
+        (["uniform", "{spec}", "--max-n", "0"], "max_n must be at least 1"),
+        (["strategy", "{spec}", "--player", "2", "--blocks", "growing", "--max-block", "0"],
+         "max_block must be at least 1"),
+        (["simulate", "{spec}", "--p1", "{p1}", "--p2", "{p2}", "--horizon", "4",
+          "--reps", "2", "--seed", "-1"], "seed must lie in"),
+        (["value", "{spec}", "--theta", "1:0.5,2"], "--theta entry '2'"),
+    ],
+    ids=["value-grid", "oracle-grid", "wvalue-n", "uniform-max-m", "uniform-max-n",
+         "growing-max-block", "simulate-seed", "theta-entry"],
+)
+def test_bad_input_is_one_error_line(am_spec_file, strategy_files, capsys, argv, message):
+    p1, p2 = strategy_files
+    argv = [a.format(spec=am_spec_file, p1=p1, p2=p2) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 def test_lp_failure_is_an_error_line(am_spec_file, capsys, monkeypatch):
     from scipy.optimize._highspy import _core as highs_core
 

@@ -62,6 +62,20 @@ class TestDeterminism:
             0.5687912597062296, 0.7416262535776266, 0.5687912597062296
         ]
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(horizon=0), "horizon and replications"),
+            (dict(replications=0), "horizon and replications"),
+            (dict(seed=-1), "seed must lie in"),
+            (dict(seed=2**64), "seed must lie in"),
+        ],
+        ids=["horizon", "replications", "negative-seed", "wide-seed"],
+    )
+    def test_config_rejects_bad_values(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            rg.PlayoutConfig(**{"horizon": 4, "replications": 2, "seed": 0, **kwargs})
+
     def test_seed_changes_samples(self, am_aux):
         sigma = rg.extract_p1_markov(am_aux, n=2, resolution=8)
         tau = rg.build_p2_cyclic(am_aux, 2, resolution=8)

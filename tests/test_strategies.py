@@ -100,6 +100,18 @@ class TestP2Strategies:
         )
         assert stats.mean == pytest.approx(0.5, abs=3 * stats.stderr + 0.02)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda aux: rg.build_p2_growing(aux, max_block=0), "max_block must be at least 1"),
+            (lambda aux: extract_p1_longrun(aux, resolution=0), "resolution"),
+        ],
+        ids=["growing-blocks", "longrun-grid"],
+    )
+    def test_bad_sizes_rejected(self, am_aux, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(am_aux)
+
 
 class TestNearestLookup:
     def test_l1_ties_go_to_the_lower_index(self):

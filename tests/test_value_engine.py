@@ -480,9 +480,21 @@ class TestWValues:
         ]
         assert uppers[0] >= uppers[1] - 1e-9 >= uppers[2] - 2e-9
 
-    def test_guard(self, am_aux):
-        with pytest.raises(ValueError, match="guard"):
-            rg.w_mn(am_aux, 0, 6, guard=4)
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda aux: rg.w_mn(aux, 0, 0), "n must be at least 1"),
+            (lambda aux: rg.w_mn(aux, -1, 1), "m must be at least 0"),
+            (lambda aux: rg.uniform_value_estimate(aux, max_m=-1), "max_m must be at least 0"),
+            (lambda aux: rg.uniform_value_estimate(aux, max_n=0), "max_n must be at least 1"),
+            (lambda aux: rg.uniform_value_estimate(aux, 1, 1, resolution=0), "resolution"),
+            (lambda aux: rg.value_theta_grid(aux, ThetaWeights.uniform(2), 0), "resolution"),
+        ],
+        ids=["w-n", "w-m", "window-m", "window-n", "window-grid", "theta-grid"],
+    )
+    def test_bad_counts_rejected(self, am_aux, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(am_aux)
 
 
 class TestUniformWindow:
@@ -568,9 +580,7 @@ class TestSweepMemo:
                 assert list(zip(rep.v_lower[:, n - 1], rep.v_upper[:, n - 1])) == column
             assert len(rep.w_cells) == 6
             for (m, n), cell in rep.w_cells.items():
-                alone = rg.w_mn(
-                    rg.auxiliary_game(spec), m, n, resolution=16, theta_resolution=2, guard=2
-                )
+                alone = rg.w_mn(rg.auxiliary_game(spec), m, n, resolution=16, theta_resolution=2)
                 assert cell == alone
             # each distinct input is swept once, and only the inputs the
             # unshared calls need
