@@ -39,6 +39,7 @@ from .strategies import (
 )
 from .values import (
     ThetaWeights,
+    default_resolution,
     evaluate_measure,
     uniform_value_estimate,
     value_mn,
@@ -94,6 +95,11 @@ def _parse_theta(text: str) -> ThetaWeights:
         except ValueError:
             raise CliError(f"--theta entry {part!r} is not stage:weight") from None
     return ThetaWeights.from_map(mapping)
+
+
+def _resolution(aux, grid: int | None) -> int:
+    """The lattice resolution a command runs at: --grid, or the default."""
+    return default_resolution(aux.nK) if grid is None else grid
 
 
 def _report_payload(report) -> dict:
@@ -174,8 +180,9 @@ def cmd_wvalue(args) -> int:
     started = time.monotonic()
     spec = load_spec(args.spec)
     aux = auxiliary_game(spec)
-    res = w_mn(aux, args.m, args.n, resolution=args.grid, theta_resolution=args.theta_grid)
-    config = {"m": args.m, "n": args.n, "theta_grid": args.theta_grid, "grid": args.grid}
+    grid = _resolution(aux, args.grid)
+    res = w_mn(aux, args.m, args.n, resolution=grid, theta_resolution=args.theta_grid)
+    config = {"m": args.m, "n": args.n, "theta_grid": args.theta_grid, "grid": grid}
     doc = {
         "manifest": _manifest("wvalue", args.spec, config, started),
         "lower": res.lower,
@@ -193,17 +200,18 @@ def cmd_uniform(args) -> int:
     started = time.monotonic()
     spec = load_spec(args.spec)
     aux = auxiliary_game(spec)
+    grid = _resolution(aux, args.grid)
     report = uniform_value_estimate(
         aux,
         max_m=args.max_m,
         max_n=args.max_n,
-        resolution=args.grid,
+        resolution=grid,
         w_guard=args.w_guard,
     )
     config = {
         "max_m": args.max_m,
         "max_n": args.max_n,
-        "grid": args.grid,
+        "grid": grid,
         "w_guard": args.w_guard,
     }
     manifest = _manifest("uniform", args.spec, config, started)
@@ -226,19 +234,19 @@ def cmd_strategy(args) -> int:
     started = time.monotonic()
     spec = load_spec(args.spec)
     aux = auxiliary_game(spec)
+    grid = _resolution(aux, args.grid)
+    config = {"player": args.player, "grid": grid}
     if args.player == 1:
-        strategy = extract_p1_markov(aux, n=args.n, resolution=args.grid)
+        strategy = extract_p1_markov(aux, n=args.n, resolution=grid)
+        config["n"] = args.n
     elif args.blocks == "growing":
-        strategy = build_p2_growing(aux, resolution=args.grid, max_block=args.max_block)
+        strategy = build_p2_growing(aux, resolution=grid, max_block=args.max_block)
+        config.update(blocks=args.blocks, max_block=args.max_block)
     else:
-        strategy = build_p2_cyclic(aux, args.n, resolution=args.grid)
+        strategy = build_p2_cyclic(aux, args.n, resolution=grid)
+        config.update(blocks=args.blocks, n=args.n)
     doc = strategy.to_json()
-    doc["manifest"] = _manifest(
-        "strategy",
-        args.spec,
-        {"player": args.player, "n": args.n, "blocks": args.blocks, "grid": args.grid},
-        started,
-    )
+    doc["manifest"] = _manifest("strategy", args.spec, config, started)
     with _open_out(args.out) as out:
         _emit_json(doc, out)
     return 0
@@ -282,8 +290,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     started = time.monotonic()
-    if args.oracle != "cavu":
-        raise CliError(f"unknown oracle {args.oracle!r}")
     spec = load_spec(args.spec)
     kept = spec.transition.sum(axis=(4, 5))  # (K, I, J, K)
     for k in range(spec.nK):
@@ -296,8 +302,9 @@ def cmd_oracle(args) -> int:
     matrices = [
         spec.payoff[k] * spec.payoff_scale + spec.payoff_offset for k in range(spec.nK)
     ]
-    oracle = cavu_oracle(matrices, resolution=64 if args.grid is None else args.grid)
-    manifest = _manifest("oracle", args.spec, {"oracle": "cavu", "grid": args.grid}, started)
+    grid = 64 if args.grid is None else args.grid
+    oracle = cavu_oracle(matrices, resolution=grid)
+    manifest = _manifest("oracle", args.spec, {"oracle": "cavu", "grid": grid}, started)
     header = [f"p{k}" for k in range(spec.nK)] + ["u", "cav_u"]
     rows = [
         list(map(float, pt)) + [float(uv), float(oracle.cav(pt))]

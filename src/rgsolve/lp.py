@@ -4,11 +4,14 @@ Every solve goes through one thin seam over the HiGHS core bundled with
 scipy (``scipy.optimize._highspy._core``): ``solve_lp`` builds a column-wise
 ``HighsLp`` from dense or ``scipy.sparse`` constraint blocks and runs dual
 simplex with presolve on, 1e-10 feasibility tolerances and logging off.
-HiGHS is deterministic for a fixed input and returns dual values. When
-presolve fails on a valid model (``run`` errors before any model status is
-set), the model is solved once more with presolve off. Every optimal
-solution is re-verified: its primal residuals must be below the
-feasibility tolerance, otherwise the solve is rejected.
+The same seam solves mixed-integer models: columns marked integral go to
+HiGHS's branch-and-bound, whose integrality tolerance is also 1e-10.
+HiGHS is deterministic for a fixed input and returns dual values for an
+LP (not for a mixed-integer model). When presolve fails on a valid model
+(``run`` errors before any model status is set), the model is solved once
+more with presolve off. Every optimal solution is re-verified: its primal
+residuals must be below the feasibility tolerance, otherwise the solve is
+rejected.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ def _highs_options(presolve: str) -> "_highs.HighsOptions":
     opts.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     opts.primal_feasibility_tolerance = 1e-10
     opts.dual_feasibility_tolerance = 1e-10
+    opts.mip_feasibility_tolerance = 1e-10
     opts.output_flag = False
     opts.log_to_console = False
     return opts
@@ -71,15 +75,19 @@ def solve_lp(
     b_eq: np.ndarray | None = None,
     bounds=None,
     maximize: bool = False,
+    integrality=None,
 ) -> LPSolution:
     """Solve min (or max) c @ x subject to A_ub x <= b_ub, A_eq x = b_eq.
 
     ``A_ub`` and ``A_eq`` may be dense arrays or ``scipy.sparse`` matrices.
     ``bounds`` is one ``(lo, hi)`` pair for every variable, a sequence of
     pairs or an ``(n, 2)`` array; ``None`` entries are infinite, and no
-    bounds at all means free variables. Returns an LPSolution with primal
-    and dual vectors on success. Raises LPError on numerical failure or
-    when the verified residuals exceed the feasibility tolerance.
+    bounds at all means free variables. ``integrality`` is one entry for
+    every variable or one per variable, 0 for continuous and 1 for integer
+    (None: all continuous). Returns an LPSolution with the primal vector on success,
+    and the dual vectors when no variable is integer. Raises LPError on
+    numerical failure or when the verified residuals exceed the
+    feasibility tolerance.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -88,6 +96,9 @@ def solve_lp(
     lhs = np.concatenate([np.full(m_ub, -np.inf), _rhs(b_eq, A_eq)])
     rhs = np.concatenate([_rhs(b_ub, A_ub), _rhs(b_eq, A_eq)])
     lb, ub = _column_bounds(bounds, n)
+    integrality = np.broadcast_to(
+        np.asarray(0 if integrality is None else integrality, dtype=np.int32), n
+    ).copy()
 
     start, index, value = _csc_arrays(n, [A for A in (A_ub, A_eq) if A is not None])
     model = (
@@ -95,7 +106,7 @@ def solve_lp(
         _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
         sign * c, lb, ub, lhs, rhs,
         start, index, value,
-        np.zeros(n, dtype=np.int32),  # integrality: every column continuous
+        integrality,
     )
     highs, status = _run(model)
     if status not in _STATUS:
@@ -105,6 +116,8 @@ def solve_lp(
     solution = highs.getSolution()
     x = np.asarray(solution.col_value, dtype=float)
     _verify_primal(x, A_ub, b_ub, A_eq, b_eq)
+    if integrality.any():
+        return LPSolution(status="optimal", objective=float(c @ x), primal=x)
     # HiGHS reports multipliers of the solved (minimization) problem as
     # nonpositive for <= rows; negating yields the conventional y >= 0,
     # which carries over to maximization (solved as min of the negation).

@@ -4,14 +4,20 @@ With the opponent removed, a stage-indexed plan (one stacked action per
 belief) drives a deterministic sequence of belief measures and guaranteed
 payoffs. Both directions are provided: rolling a plan forward into its
 play, and recovering per-atom action maps that realize a given play.
+
+The recovery inverts the splitting construction one step at a time with
+one mixed-integer model per step, solved through ``lp.solve_lp``: binary
+variables send each (atom, signal) posterior column to one atom of the
+target measure and pick the column where player 2 attains each atom's
+guaranteed payoff; everything else is linear in the stacked actions.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..beliefs import BeliefMeasure, mix_measures
 from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
@@ -20,9 +26,7 @@ from ..lp import LPError, normalize_mixtures, solve_lp
 if TYPE_CHECKING:
     from ..strategies import MarkovStrategy1
 
-_TOL = 1e-7  # payoff and alignment tolerance of a recovered step
-MAX_ASSIGNMENTS = 4096  # posterior alignment patterns tried per step
-MAX_COLUMN_COMBOS = 729  # payoff-attaining column patterns tried per alignment
+_TOL = 1e-7  # payoff tolerance of a recovered step
 
 
 def play_of_markov_strategy(
@@ -66,12 +70,12 @@ def markov_strategy_of_play(
     """Recover per-atom action maps that realize the given play, as an
     informed-player strategy with no maintenance tail.
 
-    Each step is a coupled linear system: every (atom, signal) posterior
-    column must align with some atom of the target measure, aggregated
-    weights must reproduce the target weights, and the guaranteed payoffs
-    must match. Alignment patterns and payoff-attaining columns are
-    enumerated (the counts are tiny at desk scale) and each pattern is one
-    LP feasibility problem. Raises identifying the first unrealizable step.
+    Each step is one mixed-integer model: every (atom, signal) posterior
+    column must land on one atom of the target measure, the masses landing
+    on each target atom must reproduce its weight, and the weighted
+    guaranteed payoffs (each atom's minimum over player 2's columns) must
+    match the step's payoff within ``_TOL``; the model minimizes that
+    deviation. Raises identifying the first unrealizable step.
     """
     # strategies imports the value engine, which imports this module
     from ..strategies import MarkovStrategy1
@@ -108,140 +112,57 @@ def _recover_step(
 ) -> np.ndarray:
     K, I, J, D = aux.nK, aux.nI, aux.nJ, aux.nD
     R, L = current.size, target.size
-    # variable layout: actions (R*K*I), scales s[j, d] (R*D)
-    nv = R * K * I + R * D
-
-    def a_slice(j):
-        return slice(j * K * I, (j + 1) * K * I)
-
-    def s_col(j, d):
-        return R * K * I + j * D + d
-
-    # per-atom linear maps: columns of the next (state, signal) table
-    col_maps = []  # per atom j: (D, K, K*I) tensor
-    pay_maps = []  # per atom j: (J, K*I)
-    for p in current.atoms:
-        col_maps.append(np.einsum("k,kind->dnki", p, aux.qbar).reshape(D, K, K * I))
-        pay_maps.append(np.einsum("k,kij->jki", p, aux.payoff).reshape(J, K * I))
-
-    candidates = _assignment_candidates(col_maps, target, K, I)
-    combos = 1
-    for opts in candidates:
-        combos *= len(opts)
-    if combos > MAX_ASSIGNMENTS:
-        raise _StepInfeasible(
-            f"{combos} posterior alignment patterns exceed the cap {MAX_ASSIGNMENTS}"
-        )
-    if J**R > MAX_COLUMN_COMBOS:
-        raise _StepInfeasible(
-            f"{J**R} payoff-column patterns exceed the cap {MAX_COLUMN_COMBOS}"
-        )
-
-    for assignment in itertools.product(*candidates):
-        rows_eq, rhs_eq = [], []
-        # simplex rows
-        for j in range(R):
-            for k in range(K):
-                row = np.zeros(nv)
-                row[a_slice(j)][k * I : (k + 1) * I] = 1.0
-                rows_eq.append(row)
-                rhs_eq.append(1.0)
-        # column alignment: M_d(a_j) - s[j,d] * target_atom = 0
-        for j in range(R):
-            for d in range(D):
-                l = assignment[j * D + d]
-                for kap in range(K):
-                    row = np.zeros(nv)
-                    row[a_slice(j)] = col_maps[j][d, kap]
-                    row[s_col(j, d)] = -target.atoms[l][kap]
-                    rows_eq.append(row)
-                    rhs_eq.append(0.0)
-        # aggregated weights reproduce the target weights
-        for l in range(L):
-            row = np.zeros(nv)
-            for j in range(R):
-                for d in range(D):
-                    if assignment[j * D + d] == l:
-                        row[s_col(j, d)] = current.weights[j]
-            rows_eq.append(row)
-            rhs_eq.append(float(target.weights[l]))
-        base_eq = (np.array(rows_eq), np.array(rhs_eq))
-
-        for attaining in itertools.product(range(J), repeat=R):
-            x = _solve_step_lp(current, payoff, base_eq, pay_maps, attaining, a_slice)
-            if x is not None:
-                return normalize_mixtures(x[: R * K * I].reshape(R, K, I))
-    raise _StepInfeasible("no alignment pattern admits a realizing action map")
-
-
-def _assignment_candidates(col_maps, target, K, I):
-    """Per (atom, signal): target atoms reachable as that signal's posterior,
-    i.e. some a in the action polytope and s >= 0 have cols[d] @ a = s * r."""
-    out = []
-    for j, cols in enumerate(col_maps):
-        for d, col in enumerate(cols):
-            opts = [l for l, r in enumerate(target.atoms) if _column_can_align(col, r, K, I)]
-            if not opts:
-                raise _StepInfeasible(f"signal {d} of atom {j} can reach no target atom")
-            out.append(opts)
-    return out
-
-
-def _column_can_align(col_map, r, K, I) -> bool:
-    nv = K * I + 1
-    A_eq = np.zeros((K + K, nv))
-    b_eq = np.zeros(K + K)
-    for k in range(K):
-        A_eq[k, k * I : (k + 1) * I] = 1.0
-        b_eq[k] = 1.0
-    for kap in range(K):
-        A_eq[K + kap, : K * I] = col_map[kap]
-        A_eq[K + kap, K * I] = -r[kap]
-    sol = solve_lp(np.zeros(nv), A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
-    return sol.status == "optimal"
-
-
-def _solve_step_lp(current, payoff, base_eq, pay_maps, attaining, a_slice):
-    """Minimize |guaranteed payoff - target| inside the alignment polytope;
-    return the primal vector when the optimum is within tolerance. One
-    extra slack variable, last."""
-    A_eq, b_eq = base_eq
-    n_all = A_eq.shape[1] + 1  # trailing slack e >= |payoff(a) - target|
-    A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-    rows_ub, rhs_ub = [], []
-    # chosen column attains the per-atom minimum
-    for j, jh in enumerate(attaining):
-        for other in range(len(pay_maps[j])):
-            if other == jh:
-                continue
-            row = np.zeros(n_all)
-            row[a_slice(j)] = pay_maps[j][jh] - pay_maps[j][other]
-            rows_ub.append(row)
-            rhs_ub.append(0.0)
-    pay_row = np.zeros(n_all)
-    for j, jh in enumerate(attaining):
-        pay_row[a_slice(j)] += current.weights[j] * pay_maps[j][jh]
-    plus = pay_row.copy()
-    plus[-1] = -1.0
-    rows_ub.append(plus)
-    rhs_ub.append(payoff)
-    minus = -pay_row
-    minus[-1] = -1.0
-    rows_ub.append(minus)
-    rhs_ub.append(-payoff)
-    c = np.zeros(n_all)
+    w = current.weights
+    # per-atom linear maps of the stacked action a_j: rows (signal, next
+    # state) of its posterior columns, rows j' of player 2's payoff columns
+    cols = sp.block_diag(
+        [np.einsum("k,kind->dnki", p, aux.qbar).reshape(D * K, K * I) for p in current.atoms]
+    )
+    pays = sp.block_diag(
+        [np.einsum("k,kij->jki", p, aux.payoff).reshape(J, K * I) for p in current.atoms]
+    )
+    # variables: actions a (R*K*I); column masses s[j, d, l] and binary
+    # target choices z[j, d, l] (R*D*L each); binary attaining columns
+    # b[j, j'] (R*J); guaranteed payoffs y (R); payoff deviation e
+    nA, nS, nB = R * K * I, R * D * L, R * J
+    n = nA + 2 * nS + nB + R + 1
+    eye_s, per_y = sp.eye(nS), sp.kron(sp.eye(R), np.ones((J, 1)))
+    A_eq = sp.bmat([
+        # each a[j, k] is a mixture
+        [sp.kron(sp.eye(R * K), np.ones((1, I))), None, None, None, None],
+        # posterior column (j, d) is sum_l s[j, d, l] r_l
+        [cols, -sp.kron(sp.eye(R * D), target.atoms.T), None, None, None],
+        # ... and lands on one target atom
+        [None, None, sp.kron(sp.eye(R * D), np.ones((1, L))), None, None],
+        # the masses landing on r_l add up to its weight
+        [None, sp.kron(np.repeat(w, D)[None, :], sp.eye(L)), None, None, None],
+        # one attaining column per atom
+        [None, None, None, sp.kron(sp.eye(R), np.ones((1, J))), sp.csc_array((R, R + 1))],
+    ])
+    b_eq = np.concatenate([np.ones(R * K), np.zeros(R * D * K), np.ones(R * D),
+                           target.weights, np.ones(R)])
+    # big-M = 1 in both switches: a column's mass and a payoff are at most 1
+    A_ub = sp.bmat([
+        [None, eye_s, -eye_s, None, None, None],  # s <= z
+        [-pays, None, None, None, per_y, None],  # y_j <= G_j[j'] a_j
+        [pays, None, None, sp.eye(nB), -per_y, None],  # y_j >= G_j[j'] a_j - (1 - b)
+        [None, None, None, None, np.vstack([w, -w]), -np.ones((2, 1))],  # |w.y - payoff| <= e
+    ])
+    b_ub = np.concatenate([np.zeros(nS + nB), np.ones(nB), [payoff, -payoff]])
+    binary = np.zeros(n, dtype=np.int32)
+    binary[nA + nS : nA + 2 * nS + nB] = 1
+    lo, hi = np.zeros(n), np.where(binary == 1, 1.0, np.inf)
+    lo[n - R - 1 : n - 1] = -np.inf
+    hi[-1] = _TOL
+    # minimize e: any feasible point would do, but a vertex may then sit a
+    # whole _TOL off the payoff
+    c = np.zeros(n)
     c[-1] = 1.0
     try:
-        sol = solve_lp(
-            c,
-            A_ub=np.array(rows_ub),
-            b_ub=np.array(rhs_ub),
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-        )
-    except LPError:
-        return None
-    if sol.status != "optimal" or sol.primal[-1] > _TOL:
-        return None
-    return sol.primal
+        sol = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                       bounds=np.column_stack([lo, hi]), integrality=binary)
+    except LPError as exc:
+        raise _StepInfeasible(str(exc)) from exc
+    if sol.status != "optimal":
+        raise _StepInfeasible("no action map reaches the target measure at the given payoff")
+    return normalize_mixtures(sol.primal[:nA].reshape(R, K, I))

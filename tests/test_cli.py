@@ -155,6 +155,55 @@ def test_strategy_growing_blocks(am_spec_file, tmp_path):
     assert doc["schedule"] == [1, 2, 3]
 
 
+def _manifest_config(text: str) -> dict:
+    if text.startswith("{"):
+        return json.loads(text)["manifest"]["config"]
+    line = next(l for l in text.splitlines() if l.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
+
+
+def _reported_grid(am_spec_file, argv, text) -> int:
+    """The lattice resolution the command's own output shows it ran at."""
+    if argv[0] == "oracle":
+        # header, then one row per lattice point: resolution + 1 for two states
+        return len([l for l in text.splitlines() if not l.startswith("#")]) - 2
+    doc = json.loads(text)
+    if argv[0] == "uniform":
+        return doc["diagnostics"]["grid_resolution"]
+    if argv[0] == "strategy":
+        stage = doc["stages"][0] if doc["player"] == 1 else doc["blocks"][0][0]
+        return len(stage["beliefs"]) - 1
+    # wvalue: the value at the echoed resolution is the value it printed
+    grid = doc["manifest"]["config"]["grid"]
+    res = rg.w_mn(rg.load_spec(am_spec_file), 0, 1, resolution=grid)
+    assert (doc["lower"], doc["upper"]) == (res.lower, res.upper)
+    return grid
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wvalue", "--m", "0", "--n", "1"],
+        ["uniform", "--max-m", "1", "--max-n", "1", "--w-guard", "1", "--emit", "json"],
+        ["strategy", "--player", "1", "--n", "1"],
+        ["strategy", "--player", "2", "--n", "1"],
+        ["strategy", "--player", "2", "--blocks", "growing", "--max-block", "2"],
+        ["oracle", "cavu"],
+    ],
+    ids=["wvalue", "uniform", "strategy-1", "strategy-cyclic", "strategy-growing", "oracle"],
+)
+def test_manifest_echoes_the_resolution_that_ran(am_spec_file, tmp_path, argv):
+    out = tmp_path / "out"
+    cmd = argv[:2] if argv[0] == "oracle" else argv[:1]
+    assert main(cmd + [am_spec_file] + argv[len(cmd):] + ["--out", str(out)]) == 0
+    text = out.read_text()
+    config = _manifest_config(text)
+    assert isinstance(config["grid"], int)
+    assert config["grid"] == _reported_grid(am_spec_file, argv, text)
+    if "growing" in argv:
+        assert config["max_block"] == 2 and "n" not in config
+
+
 def test_oracle_cavu(am_spec_file, tmp_path):
     out = tmp_path / "cav.csv"
     code = main(["oracle", "cavu", am_spec_file, "--grid", "32", "--out", str(out)])

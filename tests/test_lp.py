@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.optimize._highspy import _core as highs_core
 
 from rgsolve.lp import (
@@ -202,6 +202,59 @@ def test_seam_accepts_sparse_blocks():
         if dense.status == "optimal":
             assert np.array_equal(sparse.primal, dense.primal)
             assert sparse.objective == dense.objective
+
+
+def _random_01_model(rng):
+    """Small model over binaries and continuous variables in [0, 1]."""
+    n = int(rng.integers(2, 9))
+    m_ub, m_eq = int(rng.integers(1, 5)), int(rng.integers(0, 2))
+    integrality = rng.integers(0, 2, size=n)
+    integrality[0] = 1
+    c = rng.normal(size=n)
+    A_ub = rng.normal(size=(m_ub, n))
+    b_ub = rng.normal(size=m_ub) + 0.5
+    A_eq = rng.integers(0, 2, size=(m_eq, n)).astype(float) if m_eq else None
+    b_eq = np.ones(m_eq) if m_eq else None
+    return c, A_ub, b_ub, A_eq, b_eq, integrality
+
+
+def test_seam_matches_milp_on_random_01_models():
+    rng = np.random.default_rng(77)
+    seen = set()
+    for _ in range(60):
+        c, A_ub, b_ub, A_eq, b_eq, integrality = _random_01_model(rng)
+        rows = [LinearConstraint(A_ub, -np.inf, b_ub)]
+        if A_eq is not None:
+            rows.append(LinearConstraint(A_eq, b_eq, b_eq))
+        ref = milp(c, integrality=integrality, bounds=Bounds(0, 1), constraints=rows)
+        sol = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, 1),
+                       integrality=integrality)
+        assert sol.status == _REF_STATUS[ref.status]
+        seen.add(sol.status)
+        if sol.status != "optimal":
+            continue
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+        x = sol.primal[integrality == 1]
+        assert np.abs(x - np.round(x)).max() <= 1e-10
+        assert float(np.max(A_ub @ sol.primal - b_ub)) <= 1e-9
+        if A_eq is not None:
+            assert np.abs(A_eq @ sol.primal - b_eq).max() <= 1e-9
+        assert sol.dual_ub is None and sol.dual_eq is None
+    assert seen == {"optimal", "infeasible"}
+
+
+def test_integer_infeasible_model_is_infeasible():
+    # 2x = 1 holds at x = 1/2, which an integer x cannot take
+    args = dict(A_eq=np.array([[2.0]]), b_eq=np.array([1.0]), bounds=(0, 1))
+    assert solve_lp(np.zeros(1), **args).status == "optimal"
+    assert solve_lp(np.zeros(1), integrality=[1], **args).status == "infeasible"
+
+
+def test_integrality_of_the_wrong_length_is_rejected():
+    args = dict(A_eq=np.ones((1, 2)), b_eq=np.ones(1), bounds=(0, 1))
+    for integrality in ([1, 1, 1], [[1], [1]]):
+        with pytest.raises(ValueError):
+            solve_lp(np.zeros(2), integrality=integrality, **args)
 
 
 def _failing_presolve(monkeypatch, fail_always=False):

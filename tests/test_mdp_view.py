@@ -6,7 +6,7 @@ import pytest
 import rgsolve as rg
 from rgsolve.values import markov_strategy_of_play, play_of_markov_strategy
 
-from conftest import make_k1_spec
+from conftest import AM_MATRICES, make_k1_spec, random_informed_game
 
 
 class ConstantPlan:
@@ -87,3 +87,46 @@ class TestRoundTrip:
         bad = [(play[0][0], play[0][1]), (play[1][0], 0.99)]
         with pytest.raises(ValueError, match="step 2"):
             markov_strategy_of_play(am_aux, am_aux.pihat, bad)
+
+
+def _extracted_plays():
+    """(name, spec, horizon, resolution) of plays of ``extract_p1_markov``;
+    on the informed games the plan splits the prior onto 8 or 16 atoms."""
+    for seed in range(6):
+        yield f"informed-{seed}", random_informed_game(np.random.default_rng(seed)), 3, 8
+    am = rg.build_aumann_maschler(AM_MATRICES, np.array([0.5, 0.5]))
+    yield "am-4", am, 4, 16
+    yield "am-2", am, 2, 8
+    rng = np.random.default_rng(7)
+    for i in range(3):
+        yield f"informed-7.{i}", random_informed_game(rng), 2, 8
+
+
+EXTRACTED = {name: case for name, *case in _extracted_plays()}
+
+
+@pytest.fixture(scope="module", params=sorted(EXTRACTED))
+def extracted_play(request):
+    spec, horizon, resolution = EXTRACTED[request.param]
+    aux = rg.auxiliary_game(spec)
+    plan = rg.extract_p1_markov(aux, n=horizon, resolution=resolution)
+    return aux, play_of_markov_strategy(aux, aux.pihat, plan, horizon=horizon)
+
+
+class TestExtractedPlays:
+    def test_round_trip(self, extracted_play):
+        aux, play = extracted_play
+        rule = markov_strategy_of_play(aux, aux.pihat, play)
+        replay = play_of_markov_strategy(aux, aux.pihat, rule, horizon=len(play))
+        for (u1, y1), (u2, y2) in zip(play, replay):
+            assert y2 == pytest.approx(y1, abs=1e-8)
+            d, _ = rg.wasserstein(u1, u2)
+            assert d <= 1e-8
+
+    def test_recovery_is_deterministic(self, extracted_play):
+        aux, play = extracted_play
+        first = markov_strategy_of_play(aux, aux.pihat, play)
+        second = markov_strategy_of_play(aux, aux.pihat, play)
+        assert len(first.stage_actions) == len(second.stage_actions) == len(play)
+        for a, b in zip(first.stage_actions, second.stage_actions):
+            assert np.array_equal(a, b)
