@@ -1,5 +1,6 @@
-"""Value computations on the belief game: certified grids, tree cross-check,
-shifted and prefix-guarantee values, windowed uniform-value estimation."""
+"""Value computations on the belief game: certified grids, the exact
+sequence-form LP at one belief, shifted and prefix-guarantee values,
+windowed uniform-value estimation."""
 
 from .engine import (
     StageRule,

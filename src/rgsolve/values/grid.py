@@ -20,11 +20,10 @@ data for every K: a scan for K <= 2, and for K >= 3 qhull's upper facets
 (Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4), 1996), re-fitted through
 their lattice vertices and checked in numpy. The stage lower step uses
 the hull of the lower values as it is; the K >= 3 majorant raises the
-hull of the upper values by the l1 diameter of a lattice cell. Both
-backends, the grid sweep and the tree, take their majorants from
-``concave_majorant``, and every concave piecewise-linear function has
-one format: the (M, K) array of its pieces' values at the simplex
-vertices.
+hull of the upper values by the l1 diameter of a lattice cell. The
+sweep takes its majorants from ``concave_majorant``, and every concave
+piecewise-linear function has one format: the (M, K) array of its
+pieces' values at the simplex vertices.
 """
 
 from __future__ import annotations

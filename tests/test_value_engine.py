@@ -1,4 +1,4 @@
-"""Value engine: stage-measure calculus, certified grids, both backends,
+"""Value engine: stage-measure calculus, certified grids, the exact LP,
 shifted values, prefix-guarantee values, uniform-value window."""
 
 import itertools
@@ -17,8 +17,9 @@ from rgsolve.values import (
     theta_plus,
     theta_shift,
 )
-from rgsolve.lp import LPError
+from rgsolve.lp import LPError, LPSolution
 from rgsolve.values import engine
+from rgsolve.values import exact as exact_module
 from rgsolve.values import grid as grid_module
 from rgsolve.values.engine import _measure_bounds, _sweep
 from rgsolve.values.grid import (
@@ -257,14 +258,13 @@ class TestThreeStateSoundness:
         for g in games:
             aux = am_games[g]
             p = aux.pihat.weights @ aux.pihat.atoms
-            lo, hi = rg.value_theta_exact(aux, theta, p)
+            v, _ = rg.value_theta_exact(aux, theta, p)
             vg = rg.value_theta_grid(aux, theta, resolution=8)
             grid_lo, grid_hi = rg.evaluate_measure(vg, aux.pihat)
-            assert lo <= grid_hi + 1e-9 and grid_lo <= hi + 1e-9
+            assert grid_lo - 1e-9 <= v <= grid_hi + 1e-9
+            # a fixed-state game's v_n lies between cav u and v_1
             oracle = rg.cavu_oracle(list(aux.payoff), resolution=12)
-            assert hi >= oracle.cav(p) - oracle.error_bound
-            # the tree's K >= 3 majorant is not the constant bound 1
-            assert hi < 1.0
+            assert oracle.cav(p) - oracle.error_bound <= v <= one_shot_lp(aux, p)[0] + 1e-9
 
     def test_measure_bounds_stay_in_payoff_range(self, am_games):
         # off-lattice atoms read the majorant's cell-diameter bump; the last
@@ -422,10 +422,10 @@ class TestBackendAgreement:
         ids=["dirac1", "unif2", "spread13", "unif3"],
     )
     def test_am_intervals_overlap(self, am_aux, theta):
-        tree = rg.value_theta_exact(am_aux, theta, np.array([0.5, 0.5]))
+        v, _ = rg.value_theta_exact(am_aux, theta, np.array([0.5, 0.5]))
         vg = rg.value_theta_grid(am_aux, theta, resolution=32)
-        grid = rg.evaluate_measure(vg, rg.BeliefMeasure.dirac([0.5, 0.5]))
-        assert max(tree[0], grid[0]) <= min(tree[1], grid[1]) + 1e-9
+        lo, hi = rg.evaluate_measure(vg, rg.BeliefMeasure.dirac([0.5, 0.5]))
+        assert lo - 1e-9 <= v <= hi + 1e-9
 
     def test_tree_exact_on_one_stage(self, am_aux):
         lo, hi = rg.value_theta_exact(am_aux, ThetaWeights.dirac(1), np.array([0.3, 0.7]))
@@ -437,19 +437,55 @@ class TestBackendAgreement:
         oracle = rg.matrix_game_value(spec.payoff[0]).value
         for theta in [ThetaWeights.uniform(3), ThetaWeights.from_map({2: 1.0})]:
             lo, hi = rg.value_theta_exact(spec, theta, np.array([1.0]))
-            assert lo == pytest.approx(oracle, abs=1e-6)
-            assert hi == pytest.approx(oracle, abs=1e-6)
+            assert lo == hi == pytest.approx(oracle, abs=1e-9)
 
     def test_tree_bounds_stay_in_payoff_range(self):
-        # this game's largest payoff is 0.951; the tree upper at its first
-        # prior atom reached 0.992 when it was clipped to 1 only
+        # this game's largest payoff is 0.951; the old tree upper at its
+        # first prior atom reached 0.992, and then sat at the clip 0.951
         aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(28)))
-        lo, hi = rg.value_theta_exact(aux, ThetaWeights.uniform(3), aux.pihat.atoms[0])
-        assert aux.payoff.min() <= lo <= hi <= aux.payoff.max()
+        theta, p = ThetaWeights.uniform(3), aux.pihat.atoms[0]
+        lo, hi = rg.value_theta_exact(aux, theta, p)
+        assert aux.payoff.min() <= lo == hi < aux.payoff.max()
+        vg = rg.value_theta_grid(aux, theta, resolution=32)
+        grid_lo, grid_hi = rg.evaluate_measure(vg, rg.BeliefMeasure.dirac(p))
+        assert grid_lo - 1e-9 <= lo <= grid_hi + 1e-9
 
     def test_tree_guard(self, am_aux):
-        with pytest.raises(ValueError, match="guard"):
-            rg.value_theta_exact(am_aux, ThetaWeights.uniform(9), np.array([0.5, 0.5]))
+        # uniform(13) needs 40,955 columns, uniform(14) 81,915
+        with pytest.raises(ValueError, match=r"81915 columns.*50000") as err:
+            rg.value_theta_exact(am_aux, ThetaWeights.uniform(14), np.array([0.5, 0.5]))
+        assert "stage 14" in str(err.value) and "[0.5 0.5]" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [([0.2, 0.3, 0.5], "has 3 entries; the game has 2 states"), ([0.7, 0.7], "sums to 1.4")],
+        ids=["length", "mass"],
+    )
+    def test_exact_rejects_bad_beliefs(self, am_aux, p, message):
+        with pytest.raises(ValueError, match=message):
+            rg.value_theta_exact(am_aux, ThetaWeights.uniform(2), np.array(p))
+
+    def test_exact_failed_solve_names_belief_and_stage(self, am_aux, monkeypatch):
+        monkeypatch.setattr(
+            exact_module, "solve_lp", lambda *a, **k: LPSolution("infeasible", None, None)
+        )
+        with pytest.raises(LPError, match=r"belief \[0.5 0.5\] through stage 3 ended infeasible"):
+            rg.value_theta_exact(am_aux, ThetaWeights.uniform(3), np.array([0.5, 0.5]))
+
+    def test_exact_inside_three_state_brackets(self):
+        rng = np.random.default_rng(31)
+        for aux in [rg.auxiliary_game(random_informed_game(rng, nK=3)) for _ in range(3)]:
+            for p in aux.pihat.atoms[:2]:
+                assert rg.value_theta_exact(aux, ThetaWeights.dirac(1), p)[0] == pytest.approx(
+                    one_shot_lp(aux, p)[0], abs=1e-9
+                )
+                for n in (2, 3, 4):
+                    theta = ThetaWeights.uniform(n)
+                    v, _ = rg.value_theta_exact(aux, theta, p)
+                    assert rg.value_theta_exact(aux, theta, p) == (v, v)
+                    vg = rg.value_theta_grid(aux, theta, resolution=8)
+                    lo, hi = rg.evaluate_measure(vg, rg.BeliefMeasure.dirac(p))
+                    assert lo - 1e-9 <= v <= hi + 1e-9
 
 
 class TestWValues:
