@@ -188,6 +188,7 @@ def cmd_wvalue(args) -> int:
         "lower": res.lower,
         "upper": res.upper,
         "theta_star": {str(t): w for t, w in res.theta_star.as_map().items()},
+        "path": res.meta["path"],
         "sampled_measures": res.sampled,
         "theta_cover": res.theta_cover,
     }

@@ -1,5 +1,5 @@
 """Value computations on the belief game: certified grids, the exact
-sequence-form LP at one belief, shifted and prefix-guarantee values,
+sequence-form LPs of v_theta and w, shifted and prefix-guarantee values,
 windowed uniform-value estimation."""
 
 from .engine import (

@@ -18,8 +18,11 @@ nested in it, and is dropped when that call returns or raises; its arrays
 are read-only.
 
 ``w_mn`` and ``uniform_value_estimate`` evaluate at the game's initial
-belief measure. A ``resolution`` of None picks ``default_resolution`` for
-the number of states; any other resolution must be at least 1.
+belief measure. Within its reach a w cell is one exact LP
+(``exact.w_exact``) and runs no sweep; beyond it, ``w_mn`` searches stage
+measures on a lattice with grid sweeps. A ``resolution`` of None picks
+``default_resolution`` for the number of states; any other resolution must
+be at least 1.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from ..beliefs import BeliefMeasure
 from ..game_model import AuxGame, RepeatedGameSpec, auxiliary_game
+from .exact import w_exact
 from .grid import (
     SimplexGrid,
     concave_majorant,
@@ -230,11 +234,11 @@ def _measure_bounds(
 
 @dataclass(frozen=True)
 class WValueResult:
-    lower: float  # certified over all evaluation measures (lattice + modulus)
-    upper: float  # certified: min over sampled measures of their upper bound
-    theta_star: ThetaWeights
-    sampled: int
-    theta_cover: float
+    lower: float  # exact LP value, or lattice minimum minus the modulus
+    upper: float  # exact LP value, or min over sampled measures of their upper bound
+    theta_star: ThetaWeights  # minimizing measure on prefix lengths 1..n
+    sampled: int  # stage measures swept (0 on the exact path)
+    theta_cover: float  # lattice covering radius (0.0 on the exact path)
     meta: dict = field(default_factory=dict)
 
 
@@ -255,44 +259,54 @@ def w_mn(
 ) -> WValueResult:
     """Best payoff securable at the initial belief measure on every prefix
     average between stages m+1 and m+t, t <= n: the infimum over lifted
-    evaluation measures.
+    evaluation measures, clipped to the payoff range.
 
-    Minimizes the certified bounds over the lattice of stage measures at
-    ``theta_resolution`` and the upper bound also over the best one's
-    neighbours on the doubled lattice; the lower bound subtracts the
-    total-variation modulus of the value in the evaluation measure (payoffs
-    lie in [0, 1], so values move by at most half the l1 distance between
-    lifted measures, which the lift does not expand). For n = 1 the lattice
-    is the single measure on stage 1, with no neighbours and no cover.
+    Within the exact LP's reach (``exact.W_MAX_COLUMNS``) it is
+    ``w_exact``'s value as lower = upper, with the minimizing theta read
+    from the LP's duals and ``meta["path"]`` "exact". Beyond it
+    (``meta["path"]`` "lattice") the bounds are minimized over the lattice
+    of stage measures at ``theta_resolution``, the upper bound also over
+    the best one's neighbours on the doubled lattice; the lower bound
+    subtracts the total-variation modulus of the value in the evaluation
+    measure (payoffs lie in [0, 1], so values move by at most half the l1
+    distance between lifted measures, which the lift does not expand). For
+    n = 1 the lattice is the single measure on stage 1, with no neighbours
+    and no cover.
     """
     if m < 0:
         raise ValueError(f"m must be at least 0, got {m}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     aux = spec if isinstance(spec, AuxGame) else auxiliary_game(spec)
-    thetas = _theta_lattice(n, theta_resolution)
+    exact = w_exact(aux, m, n)
+    if exact is not None:
+        lower, theta_star = exact
+        upper, sampled, cover = lower, 0, 0.0
+    else:
+        thetas = _theta_lattice(n, theta_resolution)
 
-    def bounds_for(th: ThetaWeights):
-        vg = value_theta_grid(aux, theta_lift(th, m), resolution)
-        return evaluate_measure(vg, aux.pihat)
+        def bounds_for(th: ThetaWeights):
+            vg = value_theta_grid(aux, theta_lift(th, m), resolution)
+            return evaluate_measure(vg, aux.pihat)
 
-    # the lifted chains share their inner tails
-    with _memo_scope(aux):
-        evals = [(th, *bounds_for(th)) for th in thetas]
-        theta_star, _, up_star = min(evals, key=lambda t: t[2])
-        for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
-            up = bounds_for(th)[1]
-            if up < up_star:
-                theta_star, up_star = th, up
-    cover = (n - 1) / theta_resolution
-    lower = min(e[1] for e in evals) - cover / 2.0
+        # the lifted chains share their inner tails
+        with _memo_scope(aux):
+            evals = [(th, *bounds_for(th)) for th in thetas]
+            theta_star, _, upper = min(evals, key=lambda t: t[2])
+            for th in _neighbor_thetas(theta_star, n, theta_resolution * 2):
+                up = bounds_for(th)[1]
+                if up < upper:
+                    theta_star, upper = th, up
+        sampled, cover = len(evals), (n - 1) / theta_resolution
+        lower = min(e[1] for e in evals) - cover / 2.0
+    lower, upper = np.clip([lower, upper], aux.payoff.min(), aux.payoff.max())
     return WValueResult(
         lower=float(lower),
-        upper=float(up_star),
+        upper=float(upper),
         theta_star=theta_star,
-        sampled=len(evals),
+        sampled=sampled,
         theta_cover=cover,
-        meta={"m": m, "n": n},
+        meta={"m": m, "n": n, "path": "lattice" if exact is None else "exact"},
     )
 
 
@@ -349,6 +363,7 @@ class UniformValueReport:
                     "lower": r.lower,
                     "upper": r.upper,
                     "theta_star": {str(t): w for t, w in r.theta_star.as_map().items()},
+                    "path": r.meta["path"],
                 }
                 for (m, n), r in self.w_cells.items()
             },
@@ -369,11 +384,12 @@ def uniform_value_estimate(
     estimates with all certificate slack aggregated.
 
     Cell (m, n) of the shifted table reads ``value_mn(m, n)``. Under one
-    sweep memo each cell adds one payoff-free sweep to cell (m - 1, n), and
-    the w cells, whose lifted chains end in the same tails, reuse them.
-    The w cells, n <= ``w_guard`` and m <= ``w_guard``, search stage
-    measures on the lattice at ``WINDOW_THETA_RESOLUTION``. Needs
-    max_m >= 0 and max_n >= 1.
+    sweep memo each cell adds one payoff-free sweep to cell (m - 1, n).
+    The w cells, n <= ``w_guard`` and m <= ``w_guard``, read ``w_mn``: an
+    exact LP within its reach, which runs no sweep; a cell beyond it
+    searches stage measures on the lattice at ``WINDOW_THETA_RESOLUTION``,
+    reusing the table's sweeps where the lifted chains end in the same
+    tails. Needs max_m >= 0 and max_n >= 1.
     """
     if max_m < 0:
         raise ValueError(f"max_m must be at least 0, got {max_m}")

@@ -34,10 +34,15 @@ from ..game_model import AuxGame
 from ..lp import LPError, normalize_mixtures, solve_lp
 from .grid import SimplexGrid, hull_pieces
 
-# most beliefs per HiGHS model: a resolution-64 grid is five models. HiGHS
-# memory grows with the model, by about 0.45 MB per belief on a six-signal
-# game with 64 continuation pieces, while larger models save little time
-BLOCK = 13
+# most beliefs per HiGHS model: the 17 points of a resolution-16 two-state
+# lattice are one model, and a resolution-64 lattice is four. Each model has
+# a fixed cost of about 1 ms in HiGHS set-up, the wrapper and assembly: on a
+# random informed two-state game with a 13-piece continuation, one upper step
+# over those 17 points takes 3.1 ms as one model and 3.9 ms as two (12.2
+# against 13.0 ms at resolution 64). HiGHS memory grows with the model, by
+# about 0.45 MB per belief on a six-signal game with 64 continuation pieces,
+# which is why the blocks stay small
+BLOCK = 17
 
 
 def stage_upper_lp(

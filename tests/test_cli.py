@@ -102,6 +102,40 @@ def test_wvalue_json(am_spec_file, tmp_path):
     assert doc["theta_star"]
 
 
+@pytest.mark.parametrize(
+    "spec, m, n, path",
+    [("am", "0", "2", "exact"), ("k1", "4", "8", "lattice")],
+    ids=["exact", "lattice"],
+)
+def test_wvalue_reports_path(am_spec_file, k1_spec_file, tmp_path, spec, m, n, path):
+    # a one-state window through stage 12 is beyond the exact LP's reach
+    out = tmp_path / "w.json"
+    spec_file = am_spec_file if spec == "am" else k1_spec_file
+    argv = ["wvalue", spec_file, "--m", m, "--n", n, "--theta-grid", "2", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["path"] == path
+    if path == "exact":
+        assert doc["lower"] == doc["upper"]
+        assert (doc["sampled_measures"], doc["theta_cover"]) == (0, 0.0)
+    else:
+        assert doc["sampled_measures"] > 0 and doc["theta_cover"] > 0.0
+        assert 0.0 <= doc["lower"] <= doc["upper"] <= 1.0
+    assert sum(doc["theta_star"].values()) == pytest.approx(1.0)
+
+
+def test_uniform_json_w_entries_report_path(am_spec_file, tmp_path):
+    out = tmp_path / "u.json"
+    argv = ["uniform", am_spec_file, "--max-m", "1", "--max-n", "2", "--w-guard", "1",
+            "--grid", "16", "--emit", "json", "--out", str(out)]
+    assert main(argv) == 0
+    w = json.loads(out.read_text())["w"]
+    assert set(w) == {"0,1", "1,1"}
+    for cell in w.values():
+        assert cell["path"] == "exact"
+        assert cell["lower"] == cell["upper"]
+
+
 def test_strategy_and_simulate_pipeline(am_spec_file, tmp_path):
     p1 = tmp_path / "p1.json"
     p2 = tmp_path / "p2.json"

@@ -490,11 +490,22 @@ class TestBackendAgreement:
 
 class TestWValues:
     def test_n_one_equals_shifted_value(self, am_aux):
+        # w_{m,1} is v_{m,1}: the exact value, inside the grid bracket
         res = rg.w_mn(am_aux, 2, 1, resolution=32)
         vg = rg.value_mn(am_aux, 2, 1, resolution=32)
         lo, hi = rg.evaluate_measure(vg, am_aux.pihat)
-        assert res.upper == pytest.approx(hi, abs=1e-9)
-        assert res.lower == pytest.approx(lo, abs=1e-9)
+        exact = _exact_at_measure(am_aux, theta_shift(ThetaWeights.dirac(1), 2))
+        assert res.lower == res.upper == pytest.approx(exact, abs=1e-9)
+        assert lo - 1e-9 <= res.lower <= hi + 1e-9
+
+    def test_lattice_bounds_clipped_to_payoff_range(self):
+        # m + n = 12 on a one-state, two-signal game is beyond the exact
+        # LP's reach; the lattice lower once fell to -1.25 (payoffs in [0, 1])
+        spec = make_k1_spec(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        res = rg.w_mn(spec, 4, 8, theta_resolution=2)
+        assert res.meta["path"] == "lattice"
+        assert res.sampled > 0 and res.theta_cover > 0.0
+        assert 0.0 <= res.lower <= res.upper <= 1.0
 
     def test_single_state_equals_matrix_value(self):
         spec = make_k1_spec(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -531,6 +542,78 @@ class TestWValues:
     def test_bad_counts_rejected(self, am_aux, call, match):
         with pytest.raises(ValueError, match=match):
             call(am_aux)
+
+
+def _exact_at_measure(aux, theta) -> float:
+    """v_theta at the initial belief measure from the exact LP, atom by atom."""
+    return sum(
+        w * rg.value_theta_exact(aux, theta, p)[0]
+        for p, w in zip(aux.pihat.atoms, aux.pihat.weights)
+    )
+
+
+class TestExactW:
+    """Within its reach ``w_mn`` is one sequence-form LP over the initial
+    belief measure, with a free z below every prefix average."""
+
+    cells = [(m, n) for m in range(3) for n in range(1, 4)]
+
+    @pytest.fixture(
+        scope="class",
+        params=[("informed", 2), ("informed", 3), ("am", 2)],
+        ids=["informed-K2", "informed-K3", "am"],
+    )
+    def game(self, request, am_aux):
+        kind, nK = request.param
+        if kind == "am":
+            return am_aux, 16
+        aux = rg.auxiliary_game(random_informed_game(np.random.default_rng(31), nK))
+        return aux, 16 if nK == 2 else 6
+
+    @pytest.fixture(scope="class")
+    def exact_cells(self, game):
+        aux, _ = game
+        return {(m, n): rg.w_mn(aux, m, n) for m, n in self.cells}
+
+    def test_exact_path_reported(self, exact_cells):
+        for res in exact_cells.values():
+            assert res.meta["path"] == "exact"
+            assert res.lower == res.upper
+            assert (res.sampled, res.theta_cover) == (0, 0.0)
+
+    def test_inside_lattice_bracket(self, game, exact_cells, monkeypatch):
+        aux, resolution = game
+        monkeypatch.setattr(exact_module, "W_MAX_COLUMNS", 0)
+        for (m, n), res in exact_cells.items():
+            lattice = rg.w_mn(aux, m, n, resolution=resolution, theta_resolution=2)
+            assert lattice.meta["path"] == "lattice"
+            assert lattice.lower - 1e-9 <= res.lower <= lattice.upper + 1e-9
+
+    def test_below_every_prefix_value(self, game, exact_cells):
+        aux, _ = game
+        for (m, n), res in exact_cells.items():
+            prefix = [
+                _exact_at_measure(aux, theta_shift(ThetaWeights.uniform(t), m))
+                for t in range(1, n + 1)
+            ]
+            assert res.lower <= min(prefix) + 1e-9
+            if n == 1:
+                assert res.lower == pytest.approx(prefix[0], abs=1e-9)
+
+    def test_theta_star_attains_w(self, game, exact_cells):
+        aux, _ = game
+        for (m, n), res in exact_cells.items():
+            th = res.theta_star
+            assert all(1 <= t <= n for t in th.stages)
+            assert all(w > 0 for w in th.weights)
+            assert sum(th.weights) == pytest.approx(1.0, abs=1e-12)
+            lifted = _exact_at_measure(aux, theta_lift(th, m))
+            assert lifted == pytest.approx(res.lower, abs=1e-9)
+
+    def test_solves_are_bit_identical(self, game, exact_cells):
+        aux, _ = game
+        for (m, n), res in exact_cells.items():
+            assert rg.w_mn(aux, m, n) == res
 
 
 class TestUniformWindow:
@@ -617,7 +700,7 @@ class TestSweepMemo:
             assert len(rep.w_cells) == 6
             for (m, n), cell in rep.w_cells.items():
                 alone = rg.w_mn(rg.auxiliary_game(spec), m, n, resolution=16, theta_resolution=2)
-                assert cell == alone
+                assert cell == alone and cell.meta["path"] == "exact"
             # each distinct input is swept once, and only the inputs the
             # unshared calls need
             assert len(shared) == len(set(shared))
